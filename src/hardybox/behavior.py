@@ -29,9 +29,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Literal
+from typing import Literal, NamedTuple
 
 Outcome = Literal[1, -1]
 
@@ -178,23 +178,42 @@ def marginals(b: Behavior) -> Marginals:
     return Marginals(p_a, p_b)  # type: ignore[arg-type]
 
 
+class SignalingRow(NamedTuple):
+    """Cells of one party's marginal under far setting 1 and far setting 2."""
+
+    party: Party
+    setting: int
+    outcome: int
+    far1: tuple[int, int]
+    far2: tuple[int, int]
+
+
+#: The eight no-signaling conditions, ordered A1+, A1-, A2+, A2-, B1+, B1-,
+#: B2+, B2-: the marginal of (party, setting, outcome) summed over the cells
+#: measured under far setting 1 equals the sum under far setting 2.
+SIGNALING_ROWS: tuple[SignalingRow, ...] = (
+    SignalingRow(Party.A, 1, 1, (1, 2), (5, 6)),
+    SignalingRow(Party.A, 1, -1, (3, 4), (7, 8)),
+    SignalingRow(Party.A, 2, 1, (9, 10), (13, 14)),
+    SignalingRow(Party.A, 2, -1, (11, 12), (15, 16)),
+    SignalingRow(Party.B, 1, 1, (1, 3), (9, 11)),
+    SignalingRow(Party.B, 1, -1, (2, 4), (10, 12)),
+    SignalingRow(Party.B, 2, 1, (5, 7), (13, 15)),
+    SignalingRow(Party.B, 2, -1, (6, 8), (14, 16)),
+)
+
+
 def is_no_signaling(b: Behavior, tol: float = DEFAULT_TOL) -> bool:
     """True when every one-party marginal is independent of the remote setting.
 
-    Checks all eight (party, setting, outcome) marginal pairs, so the result
-    does not rely on the box being normalized.
+    Checks all eight `SIGNALING_ROWS`, so the result does not rely on the box
+    being normalized.
     """
-    pairs = (
-        (b.prob(1, 1, 1, 1) + b.prob(1, 1, 1, -1), b.prob(1, 2, 1, 1) + b.prob(1, 2, 1, -1)),
-        (b.prob(1, 1, -1, 1) + b.prob(1, 1, -1, -1), b.prob(1, 2, -1, 1) + b.prob(1, 2, -1, -1)),
-        (b.prob(2, 1, 1, 1) + b.prob(2, 1, 1, -1), b.prob(2, 2, 1, 1) + b.prob(2, 2, 1, -1)),
-        (b.prob(2, 1, -1, 1) + b.prob(2, 1, -1, -1), b.prob(2, 2, -1, 1) + b.prob(2, 2, -1, -1)),
-        (b.prob(1, 1, 1, 1) + b.prob(1, 1, -1, 1), b.prob(2, 1, 1, 1) + b.prob(2, 1, -1, 1)),
-        (b.prob(1, 1, 1, -1) + b.prob(1, 1, -1, -1), b.prob(2, 1, 1, -1) + b.prob(2, 1, -1, -1)),
-        (b.prob(1, 2, 1, 1) + b.prob(1, 2, -1, 1), b.prob(2, 2, 1, 1) + b.prob(2, 2, -1, 1)),
-        (b.prob(1, 2, 1, -1) + b.prob(1, 2, -1, -1), b.prob(2, 2, 1, -1) + b.prob(2, 2, -1, -1)),
+    p = b.probs
+    return all(
+        abs((p[i - 1] + p[j - 1]) - (p[k - 1] + p[l - 1])) <= tol
+        for *_, (i, j), (k, l) in SIGNALING_ROWS
     )
-    return all(abs(x - y) <= tol for x, y in pairs)
 
 
 def correlation(b: Behavior, setting_a: int, setting_b: int) -> float:

@@ -32,21 +32,10 @@ from .behavior import (
     is_no_signaling,
     is_normalized,
 )
-from .locality import FreeSetId, completion_signs
+from .locality import SIGMA_PRIME_SUPPORTS, SIGMA_SUPPORTS, FreeSetId, completion_signs
 
-#: Cells entering each probability sum; the primed sum uses the complement.
-SIGMA_SUPPORTS: dict[int, tuple[int, ...]] = {
-    1: (1, 4, 5, 8, 9, 12, 14, 15),
-    2: (1, 4, 5, 8, 10, 11, 13, 16),
-    3: (1, 4, 6, 7, 9, 12, 13, 16),
-    4: (2, 3, 5, 8, 9, 12, 13, 16),
-}
-
-SIGMA_PRIME_SUPPORTS: dict[int, tuple[int, ...]] = {
-    i: tuple(c for c in range(1, 17) if c not in cells) for i, cells in SIGMA_SUPPORTS.items()
-}
-
-# Signs of (c11, c12, c21, c22) in each correlation sum.
+# Signs of (c11, c12, c21, c22) in each correlation sum, and of the joint
+# cells (p1, p5, p9, p13) in the six-term CH forms.
 _DELTA_SIGNS: dict[int, tuple[int, int, int, int]] = {
     1: (+1, +1, +1, -1),
     2: (+1, +1, -1, +1),
@@ -62,14 +51,7 @@ _CH_FOUR_TERM: dict[int, tuple[tuple[int, int], ...]] = {
     4: ((-1, 1), (+1, 5), (-1, 10), (-1, 15)),
 }
 
-# Signs of the four joint cells (p1, p5, p9, p13) in the six-term CH forms,
-# and which marginal of each party enters.
-_CH_JOINT_SIGNS: dict[int, tuple[int, int, int, int]] = {
-    1: (+1, +1, +1, -1),
-    2: (+1, +1, -1, +1),
-    3: (+1, -1, +1, +1),
-    4: (-1, +1, +1, +1),
-}
+# Which marginal of each party enters the six-term CH forms.
 _CH_MARGINAL_SETTING: dict[int, tuple[int, int]] = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
 
 
@@ -129,7 +111,7 @@ def ch_values_full(b: Behavior, a_marg_via: int = 1, b_marg_via: int = 1) -> ChV
     for i in (1, 2, 3, 4):
         ja, kb = _CH_MARGINAL_SETTING[i]
         vals.append(
-            sum(s * x for s, x in zip(_CH_JOINT_SIGNS[i], joints)) - p_a[ja] - p_b[kb]
+            sum(s * x for s, x in zip(_DELTA_SIGNS[i], joints)) - p_a[ja] - p_b[kb]
         )
     return ChValues(tuple(vals))  # type: ignore[arg-type]
 
@@ -155,25 +137,16 @@ class HardyQuadruple:
     def cells(self) -> tuple[int, int, int, int]:
         return (self.j, self.k, self.l, self.m)
 
+    def to_json_dict(self) -> dict:
+        return {"family": self.family, "j": self.j, "k": self.k, "l": self.l, "m": self.m}
+
     def __str__(self) -> str:
         return f"p{self.j} <= p{self.k} + p{self.l} + p{self.m} <= 1 + p{self.j}"
 
 
-_FAMILY_VARIANTS: tuple[FreeSetId, ...] = (
-    FreeSetId.S1,
-    FreeSetId.S1P,
-    FreeSetId.S2,
-    FreeSetId.S2P,
-    FreeSetId.S3,
-    FreeSetId.S3P,
-    FreeSetId.S4,
-    FreeSetId.S4P,
-)
-
-
 def _enumerate() -> tuple[HardyQuadruple, ...]:
     quads = []
-    for family, variant in enumerate(_FAMILY_VARIANTS, start=1):
+    for family, variant in enumerate(FreeSetId, start=1):
         free = variant.free_cells
         signs = completion_signs(variant)
         for j in sorted(signs):
@@ -224,13 +197,8 @@ class InequalityCheck:
         return self.violated_lower or self.violated_upper
 
     def to_json_dict(self) -> dict:
-        q = self.quadruple
         return {
-            "family": q.family,
-            "j": q.j,
-            "k": q.k,
-            "l": q.l,
-            "m": q.m,
+            **self.quadruple.to_json_dict(),
             "lower_slack": self.lower_slack,
             "upper_slack": self.upper_slack,
             "violated_lower": self.violated_lower,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -86,6 +87,17 @@ def _parse_quadruple(text: str):
         ) from exc
 
 
+def _tolerance(text: str) -> float:
+    """Argument type of --tol and --eps: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _load_config(path: str | None) -> OptimizerConfig:
     if path is None:
         return OptimizerConfig()
@@ -129,11 +141,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             shift = sigma_shift_of_hardy(b, q, tol=tol, zero_tol=args.eps)
             witnesses.append(
                 {
-                    "family": q.family,
-                    "j": q.j,
-                    "k": q.k,
-                    "l": q.l,
-                    "m": q.m,
+                    **q.to_json_dict(),
                     "pj": b.p(q.j),
                     "sigma_value": shift.sigma_value,
                     "predicted": shift.predicted,
@@ -162,11 +170,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "count": len(quads),
         "inequalities": [
             {
-                "family": q.family,
-                "j": q.j,
-                "k": q.k,
-                "l": q.l,
-                "m": q.m,
+                **q.to_json_dict(),
                 "sigma_index": q.sigma_index,
                 "primed": q.primed,
                 "text": str(q),
@@ -277,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="structural checks, inequality scan, audit")
     add_behavior_source(p)
-    p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-    p.add_argument("--eps", type=float, default=1e-6, help="zero threshold for witnesses")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric tolerance")
+    p.add_argument("--eps", type=_tolerance, default=1e-6, help="zero threshold for witnesses")
     p.add_argument(
         "--strict",
         action="store_true",
@@ -364,3 +368,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -6,59 +6,54 @@ cells of a behavior.  The system has rank eight, so eight well-chosen cells
 determine the remaining eight in closed form.  This module carries:
 
 * the twelve-row constraint system (`constraint_matrix`, `constraint_residuals`),
+  built from the normalization blocks and `behavior.SIGNALING_ROWS`,
 * the eight closed-form completions (`FreeSetId`, `complete_from_free_set`),
   one per choice of free set; the free sets are exactly the supports of the
-  four probability sums used by the CHSH analysis and their complements,
+  four probability sums used by the CHSH analysis (`SIGMA_SUPPORTS`) and
+  their complements,
 * the derived bound 2*pj - 1 <= pk + pl + pm on any no-signaling box
   (`ns_bound_check`) and a few auxiliary nonnegativity consequences
   (`nonneg_side_checks`).
 
-Each completion is hard-coded as a sign table and cross-validated in the test
-suite against a generic linear solve of the twelve-row system.
+Each completion's sign table is solved from the constraint system at import;
+the import fails unless every solved cell comes out as (1 + sum of +-1 times
+the free cells) / 2.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from functools import cached_property
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .behavior import DEFAULT_TOL, Behavior
+from .behavior import DEFAULT_TOL, SIGNALING_ROWS, Behavior
 
-_NORMALIZATION_ROWS: tuple[tuple[int, ...], ...] = (
-    (1, 2, 3, 4),
-    (5, 6, 7, 8),
-    (9, 10, 11, 12),
-    (13, 14, 15, 16),
-)
+#: Cells entering each CHSH probability sum; the primed sum uses the complement.
+SIGMA_SUPPORTS: dict[int, tuple[int, ...]] = {
+    1: (1, 4, 5, 8, 9, 12, 14, 15),
+    2: (1, 4, 5, 8, 10, 11, 13, 16),
+    3: (1, 4, 6, 7, 9, 12, 13, 16),
+    4: (2, 3, 5, 8, 9, 12, 13, 16),
+}
 
-# (positive cells, negative cells); each row asserts equal marginal sums for
-# one (party, setting, outcome) triple under the two remote settings.
-_SIGNALING_ROWS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((1, 2), (5, 6)),
-    ((3, 4), (7, 8)),
-    ((9, 10), (13, 14)),
-    ((11, 12), (15, 16)),
-    ((1, 3), (9, 11)),
-    ((2, 4), (10, 12)),
-    ((5, 7), (13, 15)),
-    ((6, 8), (14, 16)),
-)
+SIGMA_PRIME_SUPPORTS: dict[int, tuple[int, ...]] = {
+    i: tuple(c for c in range(1, 17) if c not in cells) for i, cells in SIGMA_SUPPORTS.items()
+}
 
 
 def _build_matrix() -> tuple[np.ndarray, np.ndarray]:
     m = np.zeros((12, 16))
     rhs = np.zeros(12)
-    for r, cells in enumerate(_NORMALIZATION_ROWS):
-        for c in cells:
+    for g in range(4):
+        m[g, 4 * g : 4 * g + 4] = 1.0
+        rhs[g] = 1.0
+    for r, row in enumerate(SIGNALING_ROWS, start=4):
+        for c in row.far1:
             m[r, c - 1] = 1.0
-        rhs[r] = 1.0
-    for r, (plus, minus) in enumerate(_SIGNALING_ROWS, start=4):
-        for c in plus:
-            m[r, c - 1] = 1.0
-        for c in minus:
+        for c in row.far2:
             m[r, c - 1] = -1.0
     return m, rhs
 
@@ -117,145 +112,48 @@ class FreeSetId(enum.Enum):
     S4 = "s4"
     S4P = "s4p"
 
-    @property
+    @cached_property
     def free_cells(self) -> tuple[int, ...]:
-        return _FREE_CELLS[self]
+        return (SIGMA_PRIME_SUPPORTS if self.primed else SIGMA_SUPPORTS)[self.sigma_index]
 
     @property
     def solved_cells(self) -> tuple[int, ...]:
         return tuple(sorted(_COMPLETIONS[self]))
 
-    @property
+    @cached_property
     def inverse(self) -> "FreeSetId":
-        return _INVERSE[self]
+        return FreeSetId(self.value[:2] if self.primed else self.value + "p")
 
     @property
     def sigma_index(self) -> int:
         """Index 1..4 of the probability sum supported on the free set."""
-        return {"s1": 1, "s1p": 1, "s2": 2, "s2p": 2, "s3": 3, "s3p": 3, "s4": 4, "s4p": 4}[
-            self.value
-        ]
+        return int(self.value[1])
 
     @property
     def primed(self) -> bool:
         return self.value.endswith("p")
 
 
-_FREE_CELLS: dict[FreeSetId, tuple[int, ...]] = {
-    FreeSetId.S1: (1, 4, 5, 8, 9, 12, 14, 15),
-    FreeSetId.S1P: (2, 3, 6, 7, 10, 11, 13, 16),
-    FreeSetId.S2: (1, 4, 5, 8, 10, 11, 13, 16),
-    FreeSetId.S2P: (2, 3, 6, 7, 9, 12, 14, 15),
-    FreeSetId.S3: (1, 4, 6, 7, 9, 12, 13, 16),
-    FreeSetId.S3P: (2, 3, 5, 8, 10, 11, 14, 15),
-    FreeSetId.S4: (2, 3, 5, 8, 9, 12, 13, 16),
-    FreeSetId.S4P: (1, 4, 6, 7, 10, 11, 14, 15),
-}
+def _solve_completion(variant: FreeSetId) -> dict[int, tuple[int, ...]]:
+    # Solve the constraint system for the solved cells as c + A @ free; every
+    # constant c must be 1/2 and every entry of 2*A an integer (the sign).
+    free = variant.free_cells
+    solved = [c for c in range(1, 17) if c not in free]
+    m_solved = _MATRIX[:, [c - 1 for c in solved]]
+    m_free = _MATRIX[:, [c - 1 for c in free]]
+    sol = np.linalg.lstsq(m_solved, np.column_stack([_RHS, -m_free]), rcond=None)[0]
+    const, twice = sol[:, 0], 2.0 * sol[:, 1:]
+    signs = np.rint(twice)
+    if np.abs(const - 0.5).max() > 1e-12 or np.abs(twice - signs).max() > 1e-12:
+        raise AssertionError(f"completion {variant.value} is not (1 + signed free sum) / 2")
+    return {c: tuple(int(s) for s in row) for c, row in zip(solved, signs)}
 
-_INVERSE: dict[FreeSetId, FreeSetId] = {
-    FreeSetId.S1: FreeSetId.S1P,
-    FreeSetId.S1P: FreeSetId.S1,
-    FreeSetId.S2: FreeSetId.S2P,
-    FreeSetId.S2P: FreeSetId.S2,
-    FreeSetId.S3: FreeSetId.S3P,
-    FreeSetId.S3P: FreeSetId.S3,
-    FreeSetId.S4: FreeSetId.S4P,
-    FreeSetId.S4P: FreeSetId.S4,
-}
 
-# Completion sign tables.  For variant v, solved cell s takes the value
+# For variant v, solved cell s takes the value
 #   p_s = (1 + sum_i sign_i * p_free[i]) / 2
-# with p_free in the order given by _FREE_CELLS[v].  Transcribed by hand;
-# the test suite re-derives every coefficient from the constraint matrix.
+# with p_free in the order given by v.free_cells.
 _COMPLETIONS: dict[FreeSetId, dict[int, tuple[int, ...]]] = {
-    FreeSetId.S1: {
-        # free order: p1, p4, p5, p8, p9, p12, p14, p15
-        2: (-1, -1, +1, -1, -1, +1, +1, -1),
-        3: (-1, -1, -1, +1, +1, -1, -1, +1),
-        6: (+1, -1, -1, -1, -1, +1, +1, -1),
-        7: (-1, +1, -1, -1, +1, -1, -1, +1),
-        10: (-1, +1, +1, -1, -1, -1, +1, -1),
-        11: (+1, -1, -1, +1, -1, -1, -1, +1),
-        13: (-1, +1, +1, -1, +1, -1, -1, -1),
-        16: (+1, -1, -1, +1, -1, +1, -1, -1),
-    },
-    FreeSetId.S1P: {
-        # free order: p2, p3, p6, p7, p10, p11, p13, p16
-        1: (-1, -1, +1, -1, -1, +1, +1, -1),
-        4: (-1, -1, -1, +1, +1, -1, -1, +1),
-        5: (+1, -1, -1, -1, -1, +1, +1, -1),
-        8: (-1, +1, -1, -1, +1, -1, -1, +1),
-        9: (-1, +1, +1, -1, -1, -1, +1, -1),
-        12: (+1, -1, -1, +1, -1, -1, -1, +1),
-        14: (-1, +1, +1, -1, +1, -1, -1, -1),
-        15: (+1, -1, -1, +1, -1, +1, -1, -1),
-    },
-    FreeSetId.S2: {
-        # free order: p1, p4, p5, p8, p10, p11, p13, p16
-        2: (-1, -1, +1, -1, +1, -1, -1, +1),
-        3: (-1, -1, -1, +1, -1, +1, +1, -1),
-        6: (+1, -1, -1, -1, +1, -1, -1, +1),
-        7: (-1, +1, -1, -1, -1, +1, +1, -1),
-        9: (+1, -1, -1, +1, -1, -1, +1, -1),
-        12: (-1, +1, +1, -1, -1, -1, -1, +1),
-        14: (+1, -1, -1, +1, +1, -1, -1, -1),
-        15: (-1, +1, +1, -1, -1, +1, -1, -1),
-    },
-    FreeSetId.S2P: {
-        # free order: p2, p3, p6, p7, p9, p12, p14, p15
-        1: (-1, -1, +1, -1, +1, -1, -1, +1),
-        4: (-1, -1, -1, +1, -1, +1, +1, -1),
-        5: (+1, -1, -1, -1, +1, -1, -1, +1),
-        8: (-1, +1, -1, -1, -1, +1, +1, -1),
-        10: (+1, -1, -1, +1, -1, -1, +1, -1),
-        11: (-1, +1, +1, -1, -1, -1, -1, +1),
-        13: (+1, -1, -1, +1, +1, -1, -1, -1),
-        16: (-1, +1, +1, -1, -1, +1, -1, -1),
-    },
-    FreeSetId.S3: {
-        # free order: p1, p4, p6, p7, p9, p12, p13, p16
-        2: (-1, -1, +1, -1, -1, +1, +1, -1),
-        3: (-1, -1, -1, +1, +1, -1, -1, +1),
-        5: (+1, -1, -1, -1, -1, +1, +1, -1),
-        8: (-1, +1, -1, -1, +1, -1, -1, +1),
-        10: (-1, +1, +1, -1, -1, -1, +1, -1),
-        11: (+1, -1, -1, +1, -1, -1, -1, +1),
-        14: (-1, +1, +1, -1, +1, -1, -1, -1),
-        15: (+1, -1, -1, +1, -1, +1, -1, -1),
-    },
-    FreeSetId.S3P: {
-        # free order: p2, p3, p5, p8, p10, p11, p14, p15
-        1: (-1, -1, +1, -1, -1, +1, +1, -1),
-        4: (-1, -1, -1, +1, +1, -1, -1, +1),
-        6: (+1, -1, -1, -1, -1, +1, +1, -1),
-        7: (-1, +1, -1, -1, +1, -1, -1, +1),
-        9: (-1, +1, +1, -1, -1, -1, +1, -1),
-        12: (+1, -1, -1, +1, -1, -1, -1, +1),
-        13: (-1, +1, +1, -1, +1, -1, -1, -1),
-        16: (+1, -1, -1, +1, -1, +1, -1, -1),
-    },
-    FreeSetId.S4: {
-        # free order: p2, p3, p5, p8, p9, p12, p13, p16
-        1: (-1, -1, +1, -1, +1, -1, -1, +1),
-        4: (-1, -1, -1, +1, -1, +1, +1, -1),
-        6: (+1, -1, -1, -1, +1, -1, -1, +1),
-        7: (-1, +1, -1, -1, -1, +1, +1, -1),
-        10: (+1, -1, -1, +1, -1, -1, +1, -1),
-        11: (-1, +1, +1, -1, -1, -1, -1, +1),
-        14: (+1, -1, -1, +1, +1, -1, -1, -1),
-        15: (-1, +1, +1, -1, -1, +1, -1, -1),
-    },
-    FreeSetId.S4P: {
-        # free order: p1, p4, p6, p7, p10, p11, p14, p15
-        2: (-1, -1, +1, -1, +1, -1, -1, +1),
-        3: (-1, -1, -1, +1, -1, +1, +1, -1),
-        5: (+1, -1, -1, -1, +1, -1, -1, +1),
-        8: (-1, +1, -1, -1, -1, +1, +1, -1),
-        9: (+1, -1, -1, +1, -1, -1, +1, -1),
-        12: (-1, +1, +1, -1, -1, -1, -1, +1),
-        13: (+1, -1, -1, +1, +1, -1, -1, -1),
-        16: (-1, +1, +1, -1, -1, +1, -1, -1),
-    },
+    v: _solve_completion(v) for v in FreeSetId
 }
 
 

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .behavior import Behavior, Party, is_valid
+from .behavior import SIGNALING_ROWS, Behavior, Party, is_valid
 from .bell import HardyQuadruple
 
 _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
@@ -343,9 +343,8 @@ class InequalityTestResult:
         return self.violated_lower or self.violated_upper
 
     def to_json_dict(self) -> dict:
-        q = self.quadruple
         return {
-            "quadruple": {"family": q.family, "j": q.j, "k": q.k, "l": q.l, "m": q.m},
+            "quadruple": self.quadruple.to_json_dict(),
             "alpha": self.alpha,
             "lower_slack": self.lower_slack,
             "upper_slack": self.upper_slack,
@@ -456,39 +455,21 @@ class SignalingReport:
         }
 
 
-# (party, near setting, outcome) per signaling row; the far setting varies.
-_SIGNALING_TESTS = (
-    (Party.A, 1, 1),
-    (Party.A, 1, -1),
-    (Party.A, 2, 1),
-    (Party.A, 2, -1),
-    (Party.B, 1, 1),
-    (Party.B, 1, -1),
-    (Party.B, 2, 1),
-    (Party.B, 2, -1),
-)
-
-
-def _marginal_count(stats: SampleStats, party: Party, setting: int, far: int, outcome: int) -> tuple[int, int]:
-    if party is Party.A:
-        g = (setting - 1) * 2 + (far - 1)
-        offsets = (0, 1) if outcome == 1 else (2, 3)
-    else:
-        g = (far - 1) * 2 + (setting - 1)
-        offsets = (0, 2) if outcome == 1 else (1, 3)
-    row = stats.counts[g]
-    return row[offsets[0]] + row[offsets[1]], stats.trials_per_block[g]
-
-
 def test_signaling(stats: SampleStats, alpha: float = 0.01) -> SignalingReport:
     """Two-proportion pooled z-tests for all eight marginal comparisons."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
     rows = []
     threshold = alpha / 8.0
-    for party, setting, outcome in _SIGNALING_TESTS:
-        x1, n1 = _marginal_count(stats, party, setting, 1, outcome)
-        x2, n2 = _marginal_count(stats, party, setting, 2, outcome)
+    counts = [x for row in stats.counts for x in row]
+
+    def marginal(cells: tuple[int, int]) -> tuple[int, int]:
+        # count of the marginal outcome, trials of the block holding both cells
+        return sum(counts[c - 1] for c in cells), stats.trials_per_block[(cells[0] - 1) // 4]
+
+    for party, setting, outcome, far1, far2 in SIGNALING_ROWS:
+        x1, n1 = marginal(far1)
+        x2, n2 = marginal(far2)
         if n1 == 0 or n2 == 0:
             rows.append(
                 SignalingTestRow(party, setting, outcome, math.nan, math.nan, False, True)

@@ -2,7 +2,9 @@
 
 A pure two-qubit state (four complex amplitudes in the z-basis product order
 |++>, |+->, |-+>, |-->) together with one Bloch measurement direction per
-setting induces a behavior through the Born rule.  On top of that sit three
+setting induces a behavior through the Born rule.  One scalar kernel,
+`_born_cells`, computes it: `born_behavior` asks for all sixteen cells and the
+search objectives for the few cells they need.  On top of that sit three
 derivative-free searches:
 
 * `maximize_hardy`: the largest pj compatible with pk = pl = pm = 0 for one
@@ -92,13 +94,9 @@ class BlochDirection:
 
     def eigenstate(self, outcome: int) -> tuple[complex, complex]:
         """Eigenvector of the spin observable along this direction."""
-        half = 0.5 * self.theta
-        phase = cmath.exp(1j * self.phi)
-        if outcome == 1:
-            return (math.cos(half), phase * math.sin(half))
-        if outcome == -1:
-            return (math.sin(half), -phase * math.cos(half))
-        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+        if outcome not in (1, -1):
+            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+        return _eigenstates(self.theta, self.phi)[outcome]
 
     def to_json_dict(self) -> dict:
         return {"theta": self.theta, "phi": self.phi}
@@ -133,9 +131,40 @@ def all_z_settings() -> MeasurementSettings:
     return MeasurementSettings(z, z, z, z)
 
 
-def _eigenbasis(d: BlochDirection) -> np.ndarray:
-    # rows: eigenvector for outcome +1, then -1
-    return np.array([d.eigenstate(1), d.eigenstate(-1)], dtype=complex)
+def _eigenstates(theta: float, phi: float) -> dict[int, tuple[complex, complex]]:
+    """Spin eigenvectors along (theta, phi), keyed by outcome +1 / -1."""
+    half = 0.5 * theta
+    phase = cmath.exp(1j * phi)
+    cos, sin = math.cos(half), math.sin(half)
+    return {1: (cos, phase * sin), -1: (sin, -phase * cos)}
+
+
+_CELL_COORDS = {c: cell_of(c) for c in range(1, 17)}
+
+
+def _born_cells(
+    psi: Sequence[complex], dirs: Sequence[tuple[float, float]], cells: Sequence[int]
+) -> list[float]:
+    """Born probabilities of ``cells`` for amplitudes ``psi``.
+
+    ``dirs`` holds the (theta, phi) of a1, a2, b1, b2.  Plain Python on
+    purpose: the searches call this a few hundred thousand times on a handful
+    of cells, where numpy's per-call overhead dominates.
+    """
+    bases = [_eigenstates(theta, phi) for theta, phi in dirs]
+    out = []
+    for c in cells:
+        j, k, m, n = _CELL_COORDS[c]
+        ca = bases[j - 1][m]
+        cb = bases[1 + k][n]
+        amp = (
+            (ca[0] * cb[0]).conjugate() * psi[0]
+            + (ca[0] * cb[1]).conjugate() * psi[1]
+            + (ca[1] * cb[0]).conjugate() * psi[2]
+            + (ca[1] * cb[1]).conjugate() * psi[3]
+        )
+        out.append(abs(amp) ** 2)
+    return out
 
 
 def born_behavior(state: TwoQubitState, settings: MeasurementSettings) -> Behavior:
@@ -146,30 +175,8 @@ def born_behavior(state: TwoQubitState, settings: MeasurementSettings) -> Behavi
     dev = abs(state.norm_squared() - 1.0)
     if dev > 1e-9:
         raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
-    psi = state.as_array()
-    cells: list[float] = []
-    for j in (1, 2):
-        ea = _eigenbasis(settings.for_a(j))
-        for k in (1, 2):
-            eb = _eigenbasis(settings.for_b(k))
-            amps = np.kron(ea, eb).conj() @ psi
-            cells.extend(float(x) for x in (amps.real**2 + amps.imag**2))
-    return Behavior(tuple(cells))
-
-
-def _cell_probability(
-    psi: Sequence[complex], dir_a: tuple[float, float], dir_b: tuple[float, float], m: int, n: int
-) -> float:
-    # scalar fast path used inside optimizer objectives
-    ca = BlochDirection(*dir_a).eigenstate(m)
-    cb = BlochDirection(*dir_b).eigenstate(n)
-    amp = (
-        (ca[0] * cb[0]).conjugate() * psi[0]
-        + (ca[0] * cb[1]).conjugate() * psi[1]
-        + (ca[1] * cb[0]).conjugate() * psi[2]
-        + (ca[1] * cb[1]).conjugate() * psi[3]
-    )
-    return abs(amp) ** 2
+    dirs = [(d.theta, d.phi) for d in (settings.a1, settings.a2, settings.b1, settings.b2)]
+    return Behavior(tuple(_born_cells(state.amplitudes, dirs, range(1, 17))))
 
 
 @dataclass(frozen=True)
@@ -318,15 +325,8 @@ class _SearchSpace:
 
     def cell_evaluator(self, cells: Sequence[int]) -> Callable[[np.ndarray], tuple[float, ...]]:
         """Probabilities of the given cells as a function of the parameters."""
-        coords = [cell_of(c) for c in cells]
-
         def evaluate(x: np.ndarray) -> tuple[float, ...]:
-            psi = self.state_of(x)
-            dirs = self.directions_of(x)
-            out = []
-            for j, k, m, n in coords:
-                out.append(_cell_probability(psi, dirs[j - 1], dirs[2 + k - 1], m, n))
-            return tuple(out)
+            return tuple(_born_cells(self.state_of(x), self.directions_of(x), cells))
 
         return evaluate
 
@@ -378,13 +378,7 @@ class HardyOptimum:
 
     def to_json_dict(self) -> dict:
         return {
-            "quadruple": {
-                "family": self.quadruple.family,
-                "j": self.quadruple.j,
-                "k": self.quadruple.k,
-                "l": self.quadruple.l,
-                "m": self.quadruple.m,
-            },
+            "quadruple": self.quadruple.to_json_dict(),
             "pj": self.pj_value,
             "zero_residual": self.zero_residual,
             "state": self.state.to_json_dict(),
@@ -548,10 +542,7 @@ class PerfectCorrelationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "patterns": [
-                {"family": q.family, "j": q.j, "k": q.k, "l": q.l, "m": q.m}
-                for q in self.patterns
-            ],
+            "patterns": [q.to_json_dict() for q in self.patterns],
             "correlations": list(self.correlations),
             "deltas": list(self.deltas),
             "correlations_ok": self.correlations_ok,

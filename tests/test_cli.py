@@ -1,9 +1,14 @@
 """Command-line interface: JSON contracts, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hardybox
 from hardybox.behavior import save_behavior, uniform_behavior
 from hardybox.boxes import build_box, load_box
 from hardybox.cli import main
@@ -55,6 +60,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--input", str(path))
         assert code == 2
         assert "probs" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["--tol", "--eps"])
+    def test_bad_tolerance_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--box", "mermin", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_signaling_box_has_null_witnesses(self, capsys):
         doc = run_json(capsys, "check", "--box", "kwiat_hardy")
@@ -183,3 +196,18 @@ def test_argparse_exit_code_on_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("module", ["hardybox", "hardybox.cli"])
+def test_python_dash_m_entry_point(module):
+    src = str(Path(hardybox.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "check", "--box", "pr"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["input"] == "pr"
