@@ -107,8 +107,8 @@ def _load_config(path: str | None) -> OptimizerConfig:
         raise SchemaError(f"config is not valid JSON: {exc}", field_name="$") from exc
     try:
         return OptimizerConfig.from_json_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad optimizer config: {exc}", field_name="$") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"bad optimizer config: {exc}", field_name=exc.field_name) from exc
 
 
 def cmd_check(args: argparse.Namespace) -> int:

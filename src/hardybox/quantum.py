@@ -2,14 +2,15 @@
 
 A pure two-qubit state (four complex amplitudes in the z-basis product order
 |++>, |+->, |-+>, |-->) together with one Bloch measurement direction per
-setting induces a behavior through the Born rule.  One scalar kernel,
-`_born_cells`, computes it: `born_behavior` asks for all sixteen cells and the
-search objectives for the few cells they need.  On top of that sit three
-derivative-free searches:
+setting induces a behavior through the Born rule.  The scalar kernel
+`_born_cells` computes its probabilities for `born_behavior`; `_born_amps`
+gives the searches the amplitudes of the few cells they need, with their
+derivatives in the search angles.  The searches:
 
 * `maximize_hardy`: the largest pj compatible with pk = pl = pm = 0 for one
   of the 64 cell quadruples.  The quantum optimum is the fifth power of the
-  inverse golden mean, about 0.09017, independent of the quadruple.
+  inverse golden mean, about 0.09017, independent of the quadruple (Hardy,
+  PRL 71, 1665 (1993)).
 * `maximize_sigma`: extremal values of a CHSH probability sum, reaching
   2 + sqrt(2) (and 2 - sqrt(2) when minimizing).
 * `singlet_perfect_correlation_check`: for singlet-state settings realizing
@@ -17,27 +18,26 @@ derivative-free searches:
   CHSH sum stays inside the classical bounds, i.e. the argument dies on the
   singlet.
 
-The search is a multi-start Nelder-Mead simplex over explicit angle
-parameters with a quadratic penalty for the zero constraints, escalated over
-rounds, followed by a feasibility polish that keeps raising the penalty
-until the constrained cells sit below ``constraint_tol``.  Start points come
-from a scrambled low-discrepancy sequence with a fixed seed, so results are
-reproducible.
+Both run `_extremize`: SLSQP descents (Kraft, DFVLR-FB 88-28 (1988)) with
+analytic gradients from the points of a Sobol sequence scrambled with a
+fixed seed, so results reproduce; the zeros are equality constraints on the
+cell amplitudes, smooth trig polynomials of the angles.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
-from .behavior import Behavior, cell_of
-from .bell import SIGMA_SUPPORTS, HardyQuadruple, delta_values
+from .behavior import Behavior, SchemaError, cell_of, correlation_vector
+from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values
 
 #: Largest Hardy probability reachable by two-qubit states: golden mean to the -5.
 HARDY_MAX_PROBABILITY = (2.0 / (1.0 + math.sqrt(5.0))) ** 5
@@ -118,12 +118,7 @@ class MeasurementSettings:
         return self.b1 if setting == 1 else self.b2
 
     def to_json_dict(self) -> dict:
-        return {
-            "a1": self.a1.to_json_dict(),
-            "a2": self.a2.to_json_dict(),
-            "b1": self.b1.to_json_dict(),
-            "b2": self.b2.to_json_dict(),
-        }
+        return {name: getattr(self, name).to_json_dict() for name in ("a1", "a2", "b1", "b2")}
 
 
 def all_z_settings() -> MeasurementSettings:
@@ -142,29 +137,57 @@ def _eigenstates(theta: float, phi: float) -> dict[int, tuple[complex, complex]]
 _CELL_COORDS = {c: cell_of(c) for c in range(1, 17)}
 
 
+def _amp(a: Sequence[complex], b: Sequence[complex], psi: Sequence[complex]) -> complex:
+    """<e_a x e_b|psi>, with ``a`` and ``b`` the conjugated vectors e_a*, e_b*."""
+    return a[0] * (b[0] * psi[0] + b[1] * psi[1]) + a[1] * (b[0] * psi[2] + b[1] * psi[3])
+
+
 def _born_cells(
     psi: Sequence[complex], dirs: Sequence[tuple[float, float]], cells: Sequence[int]
 ) -> list[float]:
     """Born probabilities of ``cells`` for amplitudes ``psi``.
 
     ``dirs`` holds the (theta, phi) of a1, a2, b1, b2.  Plain Python on
-    purpose: the searches call this a few hundred thousand times on a handful
-    of cells, where numpy's per-call overhead dominates.
+    purpose: on sixteen cells or fewer numpy's per-call overhead dominates.
     """
-    bases = [_eigenstates(theta, phi) for theta, phi in dirs]
-    out = []
+    # <e_a x e_b| needs conjugated eigenvectors, which are those at -phi
+    bases = [_eigenstates(theta, -phi) for theta, phi in dirs]
+    coords = (_CELL_COORDS[c] for c in cells)
+    return [abs(_amp(bases[j - 1][m], bases[1 + k][n], psi)) ** 2 for j, k, m, n in coords]
+
+
+def _born_amps(
+    psi: Sequence[complex],
+    dpsi: Sequence[Sequence[complex]],
+    dirs: Sequence[tuple[float, float]],
+    cells: Sequence[int],
+    real: bool,
+) -> tuple[list[complex], list[list[complex]]]:
+    """Amplitudes <e_a x e_b|psi> of ``cells`` and their derivatives.
+
+    ``dpsi`` holds d(psi)/dx per state parameter.  A derivative row lists the
+    state parameters, then theta (and phi unless ``real``) of a1, a2, b1, b2.
+    Each entry is the amplitude with one factor differentiated: d(psi), or an
+    eigenvector, where d e_m/d theta = -(m/2) e_{-m} (the cell with that
+    party's outcome flipped) and phi enters e_m[1] only, as e^{i phi}.
+    """
+    bases = [_eigenstates(theta, -phi) for theta, phi in dirs]  # conjugated, as in _born_cells
+    step = 1 if real else 2
+    amps, jac = [], []
     for c in cells:
         j, k, m, n = _CELL_COORDS[c]
-        ca = bases[j - 1][m]
-        cb = bases[1 + k][n]
-        amp = (
-            (ca[0] * cb[0]).conjugate() * psi[0]
-            + (ca[0] * cb[1]).conjugate() * psi[1]
-            + (ca[1] * cb[0]).conjugate() * psi[2]
-            + (ca[1] * cb[1]).conjugate() * psi[3]
-        )
-        out.append(abs(amp) ** 2)
-    return out
+        ea, eb = bases[j - 1], bases[1 + k]
+        a, b = ea[m], eb[n]
+        row = [_amp(a, b, d) for d in dpsi] + [0j] * (4 * step)
+        col_a, col_b = len(dpsi) + step * (j - 1), len(dpsi) + step * (1 + k)
+        row[col_a] = -0.5 * m * _amp(ea[-m], b, psi)
+        row[col_b] = -0.5 * n * _amp(a, eb[-n], psi)
+        if not real:
+            row[col_a + 1] = _amp((0.0, -1j * a[1]), b, psi)
+            row[col_b + 1] = _amp(a, (0.0, -1j * b[1]), psi)
+        amps.append(_amp(a, b, psi))
+        jac.append(row)
+    return amps, jac
 
 
 def born_behavior(state: TwoQubitState, settings: MeasurementSettings) -> Behavior:
@@ -179,61 +202,78 @@ def born_behavior(state: TwoQubitState, settings: MeasurementSettings) -> Behavi
     return Behavior(tuple(_born_cells(state.amplitudes, dirs, range(1, 17))))
 
 
+#: Largest ``OptimizerConfig.starts``; checked before any start is drawn.
+MAX_STARTS = 4096
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the multi-start penalized simplex search.
+    """Knobs of the multi-start constrained search; bad values raise `SchemaError`.
 
-    ``penalty_weights`` must have one weight per round.  ``real_mode``
-    restricts amplitudes and directions to the x-z plane (phases zero),
-    which is enough for every extremum this package targets and roughly
-    halves the search dimension; ``product_mode`` restricts the state to a
-    tensor product, disabling entanglement.
+    ``starts`` points (1..`MAX_STARTS`) of a Sobol sequence scrambled with
+    ``seed`` each start one descent, which counts when its constrained cells
+    are at most ``constraint_tol``.  ``real_mode`` restricts amplitudes and
+    directions to the x-z plane (phases zero), which is enough for every
+    extremum this package targets and roughly halves the search dimension;
+    ``product_mode`` restricts the state to a tensor product.
     """
 
     starts: int = 64
-    rounds: int = 3
-    penalty_weights: tuple[float, ...] = (1e2, 1e4, 1e6)
     constraint_tol: float = 1e-7
     seed: int = 20201
     real_mode: bool = True
     product_mode: bool = False
 
     def __post_init__(self) -> None:
-        if self.rounds != len(self.penalty_weights):
-            raise ValueError(
-                f"rounds ({self.rounds}) must match penalty_weights "
-                f"({len(self.penalty_weights)} given)"
-            )
-        if self.starts < 1:
-            raise ValueError("starts must be positive")
+        rules = {  # field: (accepted types, range check, what the error asks for)
+            "starts": (int, lambda v: 1 <= v <= MAX_STARTS, f"an integer in 1..{MAX_STARTS}"),
+            "constraint_tol": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
+            "seed": (int, lambda v: v >= 0, "an integer >= 0"),
+            "real_mode": (bool, lambda v: True, "true or false"),
+            "product_mode": (bool, lambda v: True, "true or false"),
+        }
+        for name, (types, in_range, what) in rules.items():
+            v = getattr(self, name)
+            # bool is an int subclass: accept it only where a bool is wanted
+            if not (isinstance(v, types) and (types is bool) == isinstance(v, bool) and in_range(v)):
+                raise SchemaError(f"{name} must be {what}, got {v!r}", name)
+        object.__setattr__(self, "constraint_tol", float(self.constraint_tol))
 
     def to_json_dict(self) -> dict:
-        return {
-            "starts": self.starts,
-            "rounds": self.rounds,
-            "penalty_weights": list(self.penalty_weights),
-            "constraint_tol": self.constraint_tol,
-            "seed": self.seed,
-            "real_mode": self.real_mode,
-            "product_mode": self.product_mode,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OptimizerConfig":
-        base = OptimizerConfig()
-        kwargs = {
-            "starts": int(doc.get("starts", base.starts)),
-            "rounds": int(doc.get("rounds", base.rounds)),
-            "penalty_weights": tuple(float(w) for w in doc.get("penalty_weights", base.penalty_weights)),
-            "constraint_tol": float(doc.get("constraint_tol", base.constraint_tol)),
-            "seed": int(doc.get("seed", base.seed)),
-            "real_mode": bool(doc.get("real_mode", base.real_mode)),
-            "product_mode": bool(doc.get("product_mode", base.product_mode)),
-        }
-        unknown = set(doc) - set(kwargs)
+        """Config from a JSON object; absent fields take their defaults."""
+        if not isinstance(doc, dict):
+            raise SchemaError("optimizer config must be a JSON object", "$")
+        unknown = sorted(set(doc) - {f.name for f in fields(OptimizerConfig)})
         if unknown:
-            raise ValueError(f"unknown optimizer config fields: {sorted(unknown)}")
-        return OptimizerConfig(**kwargs)
+            raise SchemaError(f"unknown optimizer config field {unknown[0]!r}", unknown[0])
+        return OptimizerConfig(**doc)
+
+
+def _hypersphere(a: Sequence[float]) -> tuple[list[float], list[list[float]]]:
+    """Unit 4-vector from three hyperspherical angles, and its derivative per angle."""
+    s0, s1, s2 = (math.sin(t) for t in a)
+    c0, c1, c2 = (math.cos(t) for t in a)
+    coords = [c0, s0 * c1, s0 * s1 * c2, s0 * s1 * s2]
+    jac = [
+        [-s0, c0 * c1, c0 * s1 * c2, c0 * s1 * s2],
+        [0.0, -s0 * s1, s0 * c1 * c2, s0 * c1 * s2],
+        [0.0, 0.0, -s0 * s1 * s2, s0 * s1 * c2],
+    ]
+    return coords, jac
+
+
+def _qubit(theta: float, phi: float) -> tuple[tuple[complex, complex], list[tuple[complex, complex]]]:
+    """(cos theta, e^{i phi} sin theta) and its theta and phi derivatives."""
+    c, s, ph = math.cos(theta), math.sin(theta), cmath.exp(1j * phi)
+    return (c, ph * s), [(-s, ph * c), (0.0, 1j * ph * s)]
+
+
+def _kron2(u: Sequence[complex], v: Sequence[complex]) -> tuple[complex, ...]:
+    return (u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
 
 
 class _SearchSpace:
@@ -247,134 +287,168 @@ class _SearchSpace:
     pairs otherwise.
     """
 
-    def __init__(
-        self,
-        real_mode: bool,
-        product_mode: bool,
-        fixed_state: TwoQubitState | None = None,
-    ):
+    def __init__(self, real_mode: bool, product_mode: bool, fixed_state: TwoQubitState | None = None):
         self.real_mode = real_mode
         self.product_mode = product_mode
         self.fixed_state = fixed_state
-        if fixed_state is not None:
-            self.n_state = 0
-        elif product_mode:
-            self.n_state = 2 if real_mode else 4
-        else:
-            self.n_state = 3 if real_mode else 6
-        self.n_settings = 4 if real_mode else 8
-        self.dims = self.n_state + self.n_settings
-
-    def initial_ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.zeros(self.dims)
-        hi = np.empty(self.dims)
-        hi[: self.n_state] = math.pi
-        if not self.real_mode and self.fixed_state is None and not self.product_mode:
-            hi[3 : self.n_state] = 2.0 * math.pi  # phase block
-        hi[self.n_state :] = math.pi
-        if not self.real_mode:
-            hi[self.n_state + 1 :: 2] = 2.0 * math.pi  # azimuths
-        return lo, hi
-
-    @staticmethod
-    def _hypersphere(angles: Sequence[float]) -> list[float]:
-        coords = []
-        run = 1.0
-        for a in angles:
-            coords.append(run * math.cos(a))
-            run *= math.sin(a)
-        coords.append(run)
-        return coords
-
-    def state_of(self, x: np.ndarray) -> tuple[complex, complex, complex, complex]:
-        if self.fixed_state is not None:
-            return self.fixed_state.amplitudes
-        if self.product_mode:
-            if self.real_mode:
-                qa = (math.cos(x[0]), math.sin(x[0]))
-                qb = (math.cos(x[1]), math.sin(x[1]))
-            else:
-                qa = (math.cos(x[0]), cmath.exp(1j * x[1]) * math.sin(x[0]))
-                qb = (math.cos(x[2]), cmath.exp(1j * x[3]) * math.sin(x[2]))
-            return (qa[0] * qb[0], qa[0] * qb[1], qa[1] * qb[0], qa[1] * qb[1])
-        if self.real_mode:
-            c = self._hypersphere(x[0:3])
-            return (c[0], c[1], c[2], c[3])
-        mags = self._hypersphere(x[0:3])
-        return (
-            mags[0],
-            mags[1] * cmath.exp(1j * x[3]),
-            mags[2] * cmath.exp(1j * x[4]),
-            mags[3] * cmath.exp(1j * x[5]),
+        per_real_angle = 1 if real_mode else 2  # complex mode adds a phase per angle
+        self.n_state = 0 if fixed_state is not None else (2 if product_mode else 3) * per_real_angle
+        self.dims = self.n_state + 4 * per_real_angle
+        # cell amplitudes are real functions of x only in real mode with a real state
+        self.complex_amps = not real_mode or (
+            fixed_state is not None and any(a.imag for a in fixed_state.amplitudes)
         )
+
+    def state_of(self, x: np.ndarray) -> tuple[tuple[complex, ...], list[tuple[complex, ...]]]:
+        """The amplitudes psi(x) and d(psi)/dx for each state parameter."""
+        if self.fixed_state is not None:
+            return self.fixed_state.amplitudes, []
+        if self.product_mode:
+            keep = 1 if self.real_mode else 2
+            angles = ((x[0], 0.0), (x[1], 0.0)) if self.real_mode else ((x[0], x[1]), (x[2], x[3]))
+            (qa, dqa), (qb, dqb) = (_qubit(*t) for t in angles)
+            dpsi = [_kron2(d, qb) for d in dqa[:keep]] + [_kron2(qa, d) for d in dqb[:keep]]
+            return _kron2(qa, qb), dpsi
+        mags, dmags = _hypersphere(x[0:3])
+        if self.real_mode:
+            return tuple(mags), dmags
+        phases = (1.0, *(cmath.exp(1j * p) for p in x[3:6]))
+        psi = tuple(m * p for m, p in zip(mags, phases))
+        dpsi = [tuple(d * p for d, p in zip(row, phases)) for row in dmags]
+        dpsi += [tuple(1j * psi[q] if i == q else 0j for i in range(4)) for q in (1, 2, 3)]
+        return psi, dpsi
 
     def directions_of(self, x: np.ndarray) -> tuple[tuple[float, float], ...]:
         s = x[self.n_state :]
-        if self.real_mode:
-            return ((s[0], 0.0), (s[1], 0.0), (s[2], 0.0), (s[3], 0.0))
-        return ((s[0], s[1]), (s[2], s[3]), (s[4], s[5]), (s[6], s[7]))
+        return tuple((t, 0.0) for t in s) if self.real_mode else tuple(zip(s[::2], s[1::2]))
+
+    def amplitudes(self, x: np.ndarray, cells: Sequence[int]) -> tuple[list[complex], list[list[complex]]]:
+        """Amplitudes of ``cells`` at ``x`` and their Jacobian, one row per cell."""
+        x = x.tolist()  # Python floats: faster scalar math than numpy scalars
+        psi, dpsi = self.state_of(x)
+        return _born_amps(psi, dpsi, self.directions_of(x), cells, self.real_mode)
 
     def unpack(self, x: np.ndarray) -> tuple[TwoQubitState, MeasurementSettings]:
-        psi = self.state_of(x)
+        psi, _ = self.state_of(x)
         norm = math.sqrt(sum(abs(a) ** 2 for a in psi))
         state = TwoQubitState(tuple(a / norm for a in psi))
-        d = self.directions_of(x)
-        return state, MeasurementSettings(
-            BlochDirection(*d[0]), BlochDirection(*d[1]), BlochDirection(*d[2]), BlochDirection(*d[3])
-        )
-
-    def cell_evaluator(self, cells: Sequence[int]) -> Callable[[np.ndarray], tuple[float, ...]]:
-        """Probabilities of the given cells as a function of the parameters."""
-        def evaluate(x: np.ndarray) -> tuple[float, ...]:
-            return tuple(_born_cells(self.state_of(x), self.directions_of(x), cells))
-
-        return evaluate
+        return state, MeasurementSettings(*(BlochDirection(*d) for d in self.directions_of(x)))
 
 
 def _sobol_starts(space: _SearchSpace, n: int, seed: int) -> np.ndarray:
-    lo, hi = space.initial_ranges()
+    """``n`` scrambled Sobol points: angles in [0, pi), phases and azimuths in [0, 2 pi)."""
+    hi = np.full(space.dims, math.pi)
+    if not space.real_mode:
+        if space.n_state == 6:
+            hi[3:6] = 2.0 * math.pi  # phase block
+        hi[space.n_state + 1 :: 2] = 2.0 * math.pi  # azimuths
     sampler = qmc.Sobol(d=space.dims, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(n)))
-    pts = sampler.random_base2(m)[:n]
-    return lo + pts * (hi - lo)
+    return hi * sampler.random_base2(max(1, math.ceil(math.log2(n))))[:n]
 
 
-def _simplex_min(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    maxfev: int,
-    xatol: float,
-    fatol: float,
-    step: float | None = None,
-) -> tuple[np.ndarray, float]:
-    options: dict = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol, "adaptive": True}
-    if step is not None:
-        n = len(x0)
-        simplex = np.tile(x0, (n + 1, 1))
-        for i in range(n):
-            simplex[i + 1, i] += step
-        options["initial_simplex"] = simplex
-    res = minimize(f, x0, method="Nelder-Mead", options=options)
-    return np.asarray(res.x), float(res.fun)
+@dataclass(frozen=True)
+class SearchDiagnostics:
+    """How a search reached its result; no wall time, so it reproduces.
+
+    ``kernel_evaluations`` counts `_born_amps` calls over all descents;
+    ``max_constrained_cell`` is the largest constrained probability at the
+    returned point (0 without constraints).
+    """
+
+    starts_tried: int
+    starts_feasible: int
+    winning_start: int
+    kernel_evaluations: int
+    max_constrained_cell: float
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+# SLSQP iteration cap and stopping tolerance of each descent; the winner is
+# descended once more at the tighter _POLISH_FTOL
+_MAXITER = 100
+_FTOL = 1e-12
+_POLISH_FTOL = 1e-15
+
+
+def _extremize(
+    space: _SearchSpace,
+    objective_cells: Sequence[int],
+    zero_cells: Sequence[int],
+    sign: float,
+    cfg: OptimizerConfig,
+) -> tuple[TwoQubitState, MeasurementSettings, Behavior, SearchDiagnostics]:
+    """Minimize ``sign`` times the probability sum of ``objective_cells``
+    subject to zero amplitude on each of ``zero_cells``.
+
+    Zero amplitudes (real and, where complex, imaginary parts) are regular
+    equality constraints; zero probabilities, whose gradient vanishes where
+    they hold, are not.  Of the SLSQP descents from the Sobol starts, those
+    that converge with every constrained cell within ``cfg.constraint_tol``
+    are ranked by (objective, start index); the winner is descended once
+    more.  Returns its state, settings, Born behavior and diagnostics, or
+    raises `ConvergenceError` if no descent qualifies.
+    """
+    n_obj = len(objective_cells)
+
+    @functools.lru_cache(maxsize=1)  # SLSQP asks for value, gradient, constraints at one x
+    def kernel(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+        amps, jac = space.amplitudes(np.frombuffer(key), (*objective_cells, *zero_cells))
+        return np.array(amps), np.array(jac)
+
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        amps, jac = kernel(x.tobytes())
+        obj = amps[:n_obj]
+        grad = 2.0 * sign * (obj[:, None].conj() * jac[:n_obj]).real.sum(axis=0)
+        return sign * float(np.sum(np.abs(obj) ** 2)), grad
+
+    def zeros(x: np.ndarray, part: int) -> np.ndarray:
+        z = kernel(x.tobytes())[part][n_obj:]  # part 0: values, 1: Jacobian rows
+        return np.concatenate((z.real, z.imag)) if space.complex_amps else z.real
+
+    constraints = [
+        {"type": "eq", "fun": lambda x: zeros(x, 0), "jac": lambda x: zeros(x, 1)}
+    ] if zero_cells else []
+
+    def descend(x0: np.ndarray, ftol: float) -> tuple[np.ndarray, float, float, bool]:
+        res = minimize(
+            fun, x0, jac=True, method="SLSQP", constraints=constraints,
+            options={"maxiter": _MAXITER, "ftol": ftol},
+        )
+        resid = float(np.max(np.abs(kernel(res.x.tobytes())[0][n_obj:]) ** 2, initial=0.0))
+        return res.x, fun(res.x)[0], resid, bool(res.success) and resid <= cfg.constraint_tol
+
+    results = [descend(x0, _FTOL) for x0 in _sobol_starts(space, cfg.starts, cfg.seed)]
+    feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
+    if not feasible:
+        raise ConvergenceError(
+            f"none of {cfg.starts} starts converged with constrained cells within "
+            f"{cfg.constraint_tol:g} (smallest residual {min(r[2] for r in results):.3e})"
+        )
+    _, winner = min(feasible)
+    polished = descend(results[winner][0], _POLISH_FTOL)
+    x, _, resid, _ = polished if polished[3] else results[winner]
+    state, settings = space.unpack(x)
+    return state, settings, born_behavior(state, settings), SearchDiagnostics(
+        starts_tried=cfg.starts,
+        starts_feasible=len(feasible),
+        winning_start=winner,
+        kernel_evaluations=kernel.cache_info().misses,
+        max_constrained_cell=resid,
+    )
 
 
 @dataclass(frozen=True)
 class HardyOptimum:
-    """Result of `maximize_hardy`.
-
-    ``pj_value`` and ``zero_residual`` are recomputed from `born_behavior` at
-    the reported point.  ``search_x``/``search_weight`` record the point and
-    penalty weight of the last configured round, before the feasibility
-    polish; the penalized objective is stationary there.
-    """
+    """Result of `maximize_hardy`; ``pj_value``, ``zero_residual`` come from `born_behavior`."""
 
     quadruple: HardyQuadruple
     state: TwoQubitState
     settings: MeasurementSettings
     pj_value: float
     zero_residual: float
-    search_x: tuple[float, ...]
-    search_weight: float
+    diagnostics: SearchDiagnostics
 
     def to_json_dict(self) -> dict:
         return {
@@ -383,11 +457,8 @@ class HardyOptimum:
             "zero_residual": self.zero_residual,
             "state": self.state.to_json_dict(),
             "settings": self.settings.to_json_dict(),
+            "diagnostics": self.diagnostics.to_json_dict(),
         }
-
-
-def _rank_key(fun: float, resid: float, idx: int) -> tuple[float, float, int]:
-    return (fun, resid, idx)
 
 
 def maximize_hardy(
@@ -395,72 +466,21 @@ def maximize_hardy(
     cfg: OptimizerConfig | None = None,
     fixed_state: TwoQubitState | None = None,
 ) -> HardyOptimum:
-    """Search for the largest pj subject to pk = pl = pm = 0.
+    """Search for the largest pj subject to pk = pl = pm = 0 (see `_extremize`).
 
-    Runs ``cfg.starts`` simplex descents through the escalating penalty
-    rounds, refines the best few at the final weight, then raises the penalty
-    further until the three constrained cells drop below
-    ``cfg.constraint_tol`` (feasibility polish).  Raises `ConvergenceError`
-    if no candidate reaches the tolerance.
+    Raises `ConvergenceError` if no start gets the three constrained cells
+    within ``cfg.constraint_tol``.
     """
     cfg = cfg or OptimizerConfig()
     space = _SearchSpace(cfg.real_mode, cfg.product_mode, fixed_state=fixed_state)
-    cells = space.cell_evaluator((q.j, q.k, q.l, q.m))
-
-    def objective(weight: float) -> Callable[[np.ndarray], float]:
-        def f(x: np.ndarray) -> float:
-            pj, pk, pl, pm = cells(x)
-            return -pj + weight * (pk * pk + pl * pl + pm * pm)
-
-        return f
-
-    def residual(x: np.ndarray) -> float:
-        return max(cells(x)[1:])
-
-    starts = _sobol_starts(space, cfg.starts, cfg.seed)
-    final_w = cfg.penalty_weights[-1]
-    f_final = objective(final_w)
-
-    coarse_budget = 260 * space.dims
-    candidates: list[tuple[float, float, int, np.ndarray]] = []
-    for idx, x0 in enumerate(starts):
-        x = x0
-        for w in cfg.penalty_weights:
-            x, _ = _simplex_min(objective(w), x, coarse_budget, xatol=1e-8, fatol=1e-11)
-        candidates.append((f_final(x), residual(x), idx, x))
-    candidates.sort(key=lambda t: _rank_key(t[0], t[1], t[2]))
-
-    refined: list[tuple[float, float, int, np.ndarray]] = []
-    for fun, resid, idx, x in candidates[:4]:
-        xr, fr = _simplex_min(
-            f_final, x, 600 * space.dims, xatol=1e-13, fatol=1e-16, step=1e-5
-        )
-        refined.append((fr, residual(xr), idx, xr))
-    refined.sort(key=lambda t: _rank_key(t[0], t[1], t[2]))
-    _, _, _, x_search = refined[0]
-
-    # aim two decades below tolerance: the pj bias off the constraint
-    # manifold scales like the square root of the residual
-    x = x_search
-    w = final_w
-    while residual(x) > 0.01 * cfg.constraint_tol and w < 1e15:
-        w *= 100.0
-        x, _ = _simplex_min(objective(w), x, 400 * space.dims, xatol=1e-13, fatol=1e-18, step=1e-6)
-    if residual(x) > cfg.constraint_tol:
-        raise ConvergenceError(
-            f"constraint residual {residual(x):.3e} above tolerance {cfg.constraint_tol:g}"
-        )
-
-    state, settings = space.unpack(x)
-    b = born_behavior(state, settings)
+    state, settings, b, diagnostics = _extremize(space, (q.j,), (q.k, q.l, q.m), -1.0, cfg)
     return HardyOptimum(
         quadruple=q,
         state=state,
         settings=settings,
         pj_value=b.p(q.j),
         zero_residual=max(b.p(q.k), b.p(q.l), b.p(q.m)),
-        search_x=tuple(float(v) for v in x_search),
-        search_weight=final_w,
+        diagnostics=diagnostics,
     )
 
 
@@ -471,6 +491,7 @@ class SigmaOptimum:
     value: float
     state: TwoQubitState
     settings: MeasurementSettings
+    diagnostics: SearchDiagnostics
 
     def to_json_dict(self) -> dict:
         return {
@@ -479,6 +500,7 @@ class SigmaOptimum:
             "value": self.value,
             "state": self.state.to_json_dict(),
             "settings": self.settings.to_json_dict(),
+            "diagnostics": self.diagnostics.to_json_dict(),
         }
 
 
@@ -487,42 +509,22 @@ def maximize_sigma(
 ) -> SigmaOptimum:
     """Extremize one CHSH probability sum over states and settings.
 
-    Unconstrained search; penalty weights are unused.  ``product_mode``
+    Unconstrained search; ``constraint_tol`` is unused.  ``product_mode``
     restricts to unentangled states, whose extrema are the classical 1 and 3.
     """
     if sigma_index not in (1, 2, 3, 4):
         raise ValueError(f"sigma index must be 1..4, got {sigma_index!r}")
     cfg = cfg or OptimizerConfig()
     space = _SearchSpace(cfg.real_mode, cfg.product_mode)
-    cells = space.cell_evaluator(SIGMA_SUPPORTS[sigma_index])
     sign = 1.0 if minimize_value else -1.0
-
-    def f(x: np.ndarray) -> float:
-        return sign * sum(cells(x))
-
-    starts = _sobol_starts(space, cfg.starts, cfg.seed)
-    budget = 300 * space.dims
-    candidates = []
-    for idx, x0 in enumerate(starts):
-        x, fv = _simplex_min(f, x0, budget, xatol=1e-9, fatol=1e-12)
-        candidates.append((fv, 0.0, idx, x))
-    candidates.sort(key=lambda t: _rank_key(t[0], t[1], t[2]))
-    refined = []
-    for fv, _, idx, x in candidates[:4]:
-        xr, fr = _simplex_min(f, x, 600 * space.dims, xatol=1e-13, fatol=1e-16, step=1e-5)
-        refined.append((fr, 0.0, idx, xr))
-    refined.sort(key=lambda t: _rank_key(t[0], t[1], t[2]))
-    x_best = refined[0][3]
-
-    state, settings = space.unpack(x_best)
-    b = born_behavior(state, settings)
-    value = sum(b.p(c) for c in SIGMA_SUPPORTS[sigma_index])
+    state, settings, b, diagnostics = _extremize(space, SIGMA_SUPPORTS[sigma_index], (), sign, cfg)
     return SigmaOptimum(
         sigma_index=sigma_index,
         minimize=minimize_value,
-        value=value,
+        value=sum(b.p(c) for c in SIGMA_SUPPORTS[sigma_index]),
         state=state,
         settings=settings,
+        diagnostics=diagnostics,
     )
 
 
@@ -561,16 +563,12 @@ def singlet_perfect_correlation_check(
     all four correlations have magnitude >= 1 - 10*eps and all CHSH sums
     satisfy |Delta_i| <= 2 + 40*eps; the report carries the outcome.
     """
-    from .bell import HARDY_QUADRUPLES  # local import keeps module load light
-
     b = born_behavior(singlet(), settings)
     patterns = tuple(
         q for q in HARDY_QUADRUPLES if max(b.p(q.k), b.p(q.l), b.p(q.m)) <= eps
     )
     if not patterns:
         raise ValueError("no quadruple has its three bounding cells below eps")
-    from .behavior import correlation_vector
-
     corr = correlation_vector(b).as_tuple()
     deltas = delta_values(b).delta
     return PerfectCorrelationReport(

@@ -152,17 +152,20 @@ class TestQuantumCommands:
     def test_quantum_max_small_budget(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            json.dumps({"starts": 12, "rounds": 2, "penalty_weights": [1e3, 1e6], "seed": 4})
+            json.dumps({"starts": 12, "seed": 4})
         )
         doc = run_json(capsys, "quantum-max", "--quadruple", "2:5", "--config", str(cfg))
         assert doc["zero_residual"] <= 1e-7
         assert 0.085 <= doc["pj"] <= 0.095
         assert doc["quadruple"] == {"family": 2, "j": 5, "k": 2, "l": 11, "m": 13}
+        assert doc["config"]["starts"] == 12
+        assert doc["diagnostics"]["starts_tried"] == 12
+        assert doc["diagnostics"]["max_constrained_cell"] <= 1e-7
 
     def test_singlet_only(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            json.dumps({"starts": 8, "rounds": 1, "penalty_weights": [1e4], "seed": 4})
+            json.dumps({"starts": 8, "seed": 4})
         )
         doc = run_json(
             capsys, "quantum-max", "--quadruple", "1:13", "--config", str(cfg), "--singlet-only"
@@ -173,10 +176,11 @@ class TestQuantumCommands:
     def test_tsirelson(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            json.dumps({"starts": 12, "rounds": 1, "penalty_weights": [1e2], "seed": 4})
+            json.dumps({"starts": 12, "seed": 4})
         )
         doc = run_json(capsys, "tsirelson", "--i", "1", "--config", str(cfg))
         assert doc["value"] == pytest.approx(doc["reference"], abs=1e-4)
+        assert doc["diagnostics"]["starts_tried"] == 12
         doc = run_json(capsys, "tsirelson", "--i", "1", "--minimize", "--config", str(cfg))
         assert doc["value"] == pytest.approx(2.0 - 2.0**0.5, abs=1e-4)
 
@@ -186,6 +190,27 @@ class TestQuantumCommands:
         code, _, err = run(capsys, "quantum-max", "--config", str(cfg))
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize("command", ["quantum-max", "tsirelson"])
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"real_mode": "false"}', "real_mode"),
+            ('{"product_mode": 0}', "product_mode"),
+            ('{"starts": 2.7}', "starts"),
+            ('{"starts": 100000}', "starts"),
+            ('{"constraint_tol": NaN}', "constraint_tol"),
+            ('{"rounds": 3}', "rounds"),
+            ('{"penalty_weights": [100.0]}', "penalty_weights"),
+        ],
+    )
+    def test_bad_config_field_named(self, capsys, tmp_path, command, text, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"error in {field}:" in err
 
     def test_bad_quadruple_format(self, capsys):
         code, _, _ = run(capsys, "quantum-max", "--quadruple", "13")

@@ -10,11 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from hardybox.behavior import correlation_vector, is_no_signaling, is_normalized
-from hardybox.bell import quadruple_for
+from hardybox import quantum
+from hardybox.behavior import (
+    SchemaError,
+    cell_of,
+    correlation_vector,
+    is_no_signaling,
+    is_normalized,
+)
+from hardybox.bell import HARDY_QUADRUPLES, quadruple_for
 from hardybox.locality import constraint_residuals
 from hardybox.quantum import (
     HARDY_MAX_PROBABILITY,
+    MAX_STARTS,
     SIGMA_QUANTUM_MAX,
     SIGMA_QUANTUM_MIN,
     BlochDirection,
@@ -22,6 +30,7 @@ from hardybox.quantum import (
     MeasurementSettings,
     OptimizerConfig,
     TwoQubitState,
+    _born_cells,
     _SearchSpace,
     all_z_settings,
     born_behavior,
@@ -69,7 +78,7 @@ def random_settings(rng) -> MeasurementSettings:
     return MeasurementSettings(*dirs)
 
 
-SMALL_CFG = OptimizerConfig(starts=24, rounds=3, penalty_weights=(1e2, 1e4, 1e6), seed=20201)
+SMALL_CFG = OptimizerConfig(starts=24, seed=20201)
 
 
 class TestStatesAndDirections:
@@ -149,25 +158,105 @@ class TestBornRule:
         assert correlation_vector(b).as_tuple() == pytest.approx((-1.0,) * 4, abs=1e-15)
 
 
+PARAMETRIZATIONS = {
+    "real": (True, False, None),
+    "complex": (False, False, None),
+    "real product": (True, True, None),
+    "complex product": (False, True, None),
+    "fixed state": (False, False, "random"),
+    "fixed singlet, real": (True, False, "singlet"),
+}
+
+
+class TestAmplitudeKernel:
+    @pytest.mark.parametrize("name", list(PARAMETRIZATIONS))
+    def test_jacobian_matches_central_differences(self, name):
+        real, product, fixed = PARAMETRIZATIONS[name]
+        rng = np.random.default_rng(sorted(PARAMETRIZATIONS).index(name))
+        state = {"random": random_state(rng), "singlet": singlet(), None: None}[fixed]
+        space = _SearchSpace(real, product, fixed_state=state)
+        cells = (1, 6, 11, 16, 13, 4, 5, 9)
+        h = 1e-6
+        for _ in range(10):
+            x = rng.uniform(0.0, 2.0 * math.pi, space.dims)
+            amps, jac = space.amplitudes(x, cells)
+            jac = np.array(jac)
+            assert jac.shape == (len(cells), space.dims)
+            for i in range(space.dims):
+                e = np.zeros(space.dims)
+                e[i] = h
+                fd = (np.array(space.amplitudes(x + e, cells)[0])
+                      - np.array(space.amplitudes(x - e, cells)[0])) / (2 * h)
+                assert np.max(np.abs(fd - jac[:, i])) <= 1e-6, (name, i)
+            # the amplitudes square to the probability kernel's cells
+            psi, _ = space.state_of(x.tolist())
+            probs = _born_cells(psi, space.directions_of(x), cells)
+            assert np.allclose(np.abs(amps) ** 2, probs, atol=1e-14)
+            if not space.complex_amps:
+                assert max(abs(complex(a).imag) for a in amps) <= 1e-15
+
+
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert cfg.starts == 64
-        assert cfg.penalty_weights == (1e2, 1e4, 1e6)
+        assert cfg.starts == 64 and cfg.seed == 20201
+        assert cfg.constraint_tol == 1e-7
         assert cfg.real_mode and not cfg.product_mode
-
-    def test_round_weight_mismatch(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(rounds=2, penalty_weights=(1e2,))
+        assert list(cfg.to_json_dict()) == [
+            "starts", "constraint_tol", "seed", "real_mode", "product_mode"
+        ]
 
     def test_json_round_trip(self):
-        cfg = OptimizerConfig(starts=10, rounds=1, penalty_weights=(50.0,), seed=9)
+        cfg = OptimizerConfig(starts=10, constraint_tol=1e-9, seed=9, real_mode=False)
         again = OptimizerConfig.from_json_dict(cfg.to_json_dict())
         assert again == cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig.from_json_dict({"starts": 4, "budget": 10})
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            # fields of the penalty search, which is gone, are named
+            ({"rounds": 3}, "rounds"),
+            ({"penalty_weights": [1e2, 1e4, 1e6]}, "penalty_weights"),
+            # values that used to be coerced
+            ({"real_mode": "false"}, "real_mode"),
+            ({"product_mode": 1}, "product_mode"),
+            ({"starts": 2.7}, "starts"),
+            ({"starts": True}, "starts"),
+            ({"starts": 0}, "starts"),
+            ({"starts": "8"}, "starts"),
+            ({"constraint_tol": math.nan}, "constraint_tol"),
+            ({"constraint_tol": math.inf}, "constraint_tol"),
+            ({"constraint_tol": 0.0}, "constraint_tol"),
+            ({"constraint_tol": -1e-7}, "constraint_tol"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+        ],
+    )
+    def test_bad_field_rejected(self, doc, field):
+        with pytest.raises(SchemaError) as exc:
+            OptimizerConfig.from_json_dict(doc)
+        assert exc.value.field_name == field
+        assert field in str(exc.value)
+
+    def test_starts_upper_bound_checked_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(quantum, "_sobol_starts", no_draw)
+        monkeypatch.setattr(quantum, "minimize", no_draw)
+        assert OptimizerConfig(starts=MAX_STARTS).starts == MAX_STARTS
+        with pytest.raises(SchemaError, match="starts"):
+            OptimizerConfig(starts=MAX_STARTS + 1)
+        with pytest.raises(SchemaError, match="starts"):
+            OptimizerConfig.from_json_dict({"starts": MAX_STARTS + 1})
+
+    def test_integer_tolerance_accepted(self):
+        cfg = OptimizerConfig.from_json_dict({"constraint_tol": 1})
+        assert cfg.constraint_tol == 1.0 and isinstance(cfg.constraint_tol, float)
 
 
 class TestConstants:
@@ -191,25 +280,42 @@ class TestHardySearch:
         b = born_behavior(opt.state, opt.settings)
         assert b.p(13) == opt.pj_value
 
-    def test_search_point_is_local_max(self):
-        # the penalized objective is stationary at the recorded search point
-        opt = maximize_hardy(quadruple_for(3, 9), SMALL_CFG)
-        space = _SearchSpace(SMALL_CFG.real_mode, SMALL_CFG.product_mode)
+    def test_kkt_stationarity_at_optimum(self):
+        # at a constrained maximum grad pj is a combination of the gradients of
+        # the three constrained amplitudes; the local coordinates and finite
+        # differences here are independent of the search's angles and Jacobian
         q = quadruple_for(3, 9)
-        cells = space.cell_evaluator((q.j, q.k, q.l, q.m))
+        opt = maximize_hardy(q, SMALL_CFG)
+        psi0 = np.real(opt.state.as_array())
+        thetas0 = np.array([opt.settings.for_a(1).theta, opt.settings.for_a(2).theta,
+                            opt.settings.for_b(1).theta, opt.settings.for_b(2).theta])
+        # three real tangent directions of the unit sphere at psi0
+        tangent = np.linalg.svd(psi0[None, :])[2][1:]
 
-        def f(x):
-            pj, pk, pl, pm = cells(x)
-            return -pj + opt.search_weight * (pk * pk + pl * pl + pm * pm)
+        def amplitude(y, cell):
+            psi = psi0 + tangent.T @ y[:3]
+            psi /= np.linalg.norm(psi)
+            th = thetas0 + y[3:]
+            a, b, ma, mb = cell_of(cell)
+            ea = BlochDirection(th[a - 1]).eigenstate(ma)
+            eb = BlochDirection(th[1 + b]).eigenstate(mb)
+            return float(np.real(np.vdot(np.kron(ea, eb), psi)))
 
-        x0 = np.array(opt.search_x)
-        f0 = f(x0)
-        h = 1e-6
-        for i in range(len(x0)):
-            for sign in (1.0, -1.0):
-                x = x0.copy()
-                x[i] += sign * h
-                assert f(x) >= f0 - 1e-4
+        def gradient(f):
+            h = 1e-6
+            out = np.empty(7)
+            for i in range(7):
+                e = np.zeros(7)
+                e[i] = h
+                out[i] = (f(e) - f(-e)) / (2 * h)
+            return out
+
+        grad_pj = gradient(lambda y: amplitude(y, q.j) ** 2)
+        jac = np.array([gradient(lambda y, c=c: amplitude(y, c)) for c in (q.k, q.l, q.m)])
+        assert np.linalg.matrix_rank(jac, tol=1e-6) == 3  # regular constraints
+        multipliers = np.linalg.lstsq(jac.T, grad_pj, rcond=None)[0]
+        assert np.linalg.norm(jac.T @ multipliers - grad_pj) <= 1e-6
+        assert np.linalg.norm(grad_pj) >= 1e-2  # not a free stationary point
 
     def test_fixed_singlet_collapses(self):
         opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG, fixed_state=singlet())
@@ -221,12 +327,31 @@ class TestHardySearch:
         assert all(abs(d) <= 2.0 + 4e-5 for d in report.deltas)
 
     def test_convergence_error_when_impossible(self):
-        # a single start with a tiny budget cannot reach the tolerance
-        cfg = OptimizerConfig(
-            starts=1, rounds=1, penalty_weights=(1e-8,), constraint_tol=1e-300, seed=1
-        )
+        # one start gets its constrained cells near 1e-29, not below 1e-300
+        cfg = OptimizerConfig(starts=1, constraint_tol=1e-300, seed=1)
         with pytest.raises(ConvergenceError):
             maximize_hardy(quadruple_for(1, 13), cfg)
+
+    def test_rounding_level_in_every_family(self):
+        # criterion 4's picks, held to rounding level instead of 5e-4
+        for family in range(1, 9):
+            q = next(q for q in HARDY_QUADRUPLES if q.family == family)
+            opt = maximize_hardy(q)
+            assert abs(opt.pj_value - HARDY_MAX_PROBABILITY) <= 1e-10, q
+            assert opt.zero_residual <= 1e-20, q
+
+    def test_diagnostics(self):
+        q = quadruple_for(1, 13)
+        opt = maximize_hardy(q, SMALL_CFG)
+        d = opt.diagnostics
+        assert d.starts_tried == SMALL_CFG.starts
+        assert 1 <= d.starts_feasible <= d.starts_tried
+        assert 0 <= d.winning_start < d.starts_tried
+        assert d.kernel_evaluations >= d.starts_tried
+        assert d.max_constrained_cell <= SMALL_CFG.constraint_tol
+        assert d.max_constrained_cell == pytest.approx(opt.zero_residual, abs=1e-20)
+        # deterministic: no wall time, so a rerun reproduces the record
+        assert maximize_hardy(q, SMALL_CFG).diagnostics == d
 
     def test_optimum_json(self):
         opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
@@ -235,6 +360,11 @@ class TestHardySearch:
         assert doc["pj"] == opt.pj_value
         assert len(doc["state"]["amplitudes"]) == 4
         assert set(doc["settings"]) == {"a1", "a2", "b1", "b2"}
+        assert doc["diagnostics"] == opt.diagnostics.to_json_dict()
+        assert set(doc["diagnostics"]) == {
+            "starts_tried", "starts_feasible", "winning_start",
+            "kernel_evaluations", "max_constrained_cell",
+        }
 
 
 class TestSigmaSearch:
@@ -247,10 +377,16 @@ class TestSigmaSearch:
         assert opt.value == pytest.approx(SIGMA_QUANTUM_MIN, abs=1e-6)
         assert opt.minimize
 
+    def test_rounding_level_and_diagnostics(self):
+        opt = maximize_sigma(3, SMALL_CFG)
+        assert opt.value == pytest.approx(SIGMA_QUANTUM_MAX, abs=1e-12)
+        d = opt.diagnostics
+        assert d.starts_tried == d.starts_feasible == SMALL_CFG.starts
+        assert d.max_constrained_cell == 0.0
+        assert opt.to_json_dict()["diagnostics"] == d.to_json_dict()
+
     def test_product_mode_hits_classical_bound(self):
-        cfg = OptimizerConfig(
-            starts=24, rounds=3, penalty_weights=(1e2, 1e4, 1e6), seed=20201, product_mode=True
-        )
+        cfg = OptimizerConfig(starts=24, seed=20201, product_mode=True)
         opt = maximize_sigma(1, cfg)
         assert opt.value == pytest.approx(3.0, abs=1e-4)
         assert opt.value <= 3.0 + 1e-9
