@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout, prose to stderr.  Exit codes: 0 on
-success, 1 when a strict check fails or a search does not converge, 2 on
-malformed input or arguments.
+success, 1 when a strict check fails or a search does not converge (or
+scipy, which only the searches need, is missing), 2 on malformed input or
+arguments.
 
     hardybox check --box mermin
     hardybox check --input box.json --strict
@@ -356,6 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         _note(f"error in {exc.field_name}: {exc}")
         return 2
     except ConvergenceError as exc:
+        _note(f"search failed: {exc}")
+        return 1
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").split(".")[0] != "scipy":  # imported on the first search
+            raise
         _note(f"search failed: {exc}")
         return 1
     except FileNotFoundError as exc:

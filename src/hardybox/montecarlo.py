@@ -14,7 +14,9 @@ errors (never zero for a nonempty block, so degenerate frequencies at 0 or
 1 still yield usable intervals).  `test_inequality` turns the lower and
 upper bound of a cell quadruple into one-sided z-tests; `test_signaling`
 runs the eight two-proportion marginal comparisons matching the signaling
-rows of the constraint system, Bonferroni-corrected.
+rows of the constraint system, Bonferroni-corrected.  Normal quantiles and
+tails come from the standard library (`statistics.NormalDist`,
+`math.erfc`), so this module needs only numpy.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .behavior import SIGNALING_ROWS, Behavior, Party, is_valid
 from .bell import HardyQuadruple
@@ -35,6 +37,15 @@ _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
 
 #: substream holding the settings sequence; 0..3 are the setting blocks.
 SETTINGS_SUBSTREAM = 4
+
+#: most trials `simulate` accepts.  Simulating and estimating peak at about
+#: 30 bytes per trial (tracemalloc, 1M and 4M trials, 1 and 16 shards), so a
+#: run at the cap stays under about 1.8 GB.
+MAX_TRIALS = 60_000_000
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def block_rng(seed: int, substream: int, skip: int = 0) -> np.random.Generator:
@@ -201,8 +212,14 @@ def simulate(
     Cells must be valid probabilities; each sampled block is renormalized to
     its own total, which must be positive.  The result is identical for any
     ``n_shards`` (sharding only controls how the streams are consumed), which
-    the test suite pins down.
+    the test suite pins down.  ``n`` must be an integer in 0..`MAX_TRIALS`
+    and ``seed`` one in 0..2**64 - 1 (a Philox key word); both are checked
+    before anything is drawn.
     """
+    if not _is_int(n) or not 0 <= n <= MAX_TRIALS:
+        raise ValueError(f"n must be an integer in 0..{MAX_TRIALS}, got {n!r}")
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
     if not is_valid(b):
         raise ValueError("behavior cells must lie in [0, 1]")
     if n_shards < 1:
@@ -388,7 +405,7 @@ def test_inequality(
     se = math.sqrt(sum(stats.stderr_of(c) ** 2 for c in cells))
     lower = (pk + pl + pm) - pj
     upper = 1.0 + pj - (pk + pl + pm)
-    z_alpha = float(_norm.ppf(1.0 - alpha))
+    z_alpha = NormalDist().inv_cdf(1.0 - alpha)
     return InequalityTestResult(
         quadruple=q,
         alpha=alpha,
@@ -481,6 +498,6 @@ def test_signaling(stats: SampleStats, alpha: float = 0.01) -> SignalingReport:
             rows.append(SignalingTestRow(party, setting, outcome, 0.0, 1.0, False, False))
             continue
         z = (x1 / n1 - x2 / n2) / math.sqrt(var)
-        p = 2.0 * float(_norm.sf(abs(z)))
+        p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail
         rows.append(SignalingTestRow(party, setting, outcome, z, p, p < threshold, False))
     return SignalingReport(rows=tuple(rows), alpha=alpha)

@@ -21,7 +21,10 @@ derivatives in the search angles.  The searches:
 Both run `_extremize`: SLSQP descents (Kraft, DFVLR-FB 88-28 (1988)) with
 analytic gradients from the points of a Sobol sequence scrambled with a
 fixed seed, so results reproduce; the zeros are equality constraints on the
-cell amplitudes, smooth trig polynomials of the angles.
+cell amplitudes, smooth trig polynomials of the angles.  scipy supplies the
+solver (`minimize`) and the Sobol sequence; both are imported on the first
+search, so importing the package, and every command that does not search,
+runs without scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .behavior import Behavior, SchemaError, cell_of, correlation_vector
 from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values
@@ -337,6 +338,8 @@ class _SearchSpace:
 
 def _sobol_starts(space: _SearchSpace, n: int, seed: int) -> np.ndarray:
     """``n`` scrambled Sobol points: angles in [0, pi), phases and azimuths in [0, 2 pi)."""
+    from scipy.stats import qmc
+
     hi = np.full(space.dims, math.pi)
     if not space.real_mode:
         if space.n_state == 6:
@@ -363,6 +366,13 @@ class SearchDiagnostics:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 # SLSQP iteration cap and stopping tolerance of each descent; the winner is

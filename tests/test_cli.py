@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import hardybox
+from hardybox import cli
 from hardybox.behavior import save_behavior, uniform_behavior
 from hardybox.boxes import build_box, load_box
 from hardybox.cli import main
+from hardybox.montecarlo import MAX_TRIALS
 
 
 def run(capsys, *argv):
@@ -134,6 +136,17 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--box", "pr", "--n", "10", "--quadruple", "1-13")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed(self, capsys, seed):
+        code, out, err = run(capsys, "simulate", "--box", "mermin", "--n", "1000", "--seed", seed)
+        assert code == 2
+        assert err.startswith("error: seed") and out == ""
+
+    def test_too_many_trials(self, capsys):
+        code, out, err = run(capsys, "simulate", "--box", "mermin", "--n", str(MAX_TRIALS + 1))
+        assert code == 2
+        assert err.startswith("error: n ") and out == ""
+
 
 class TestExamples:
     def test_list(self, capsys):
@@ -236,3 +249,79 @@ def test_python_dash_m_entry_point(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["input"] == "pr"
+
+
+# Runs the command line with every scipy import refused.
+_WITHOUT_SCIPY = """
+import runpy, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError("scipy import refused: " + name, name=name)
+
+sys.meta_path.insert(0, NoScipy())
+sys.argv[0] = "hardybox"
+runpy.run_module("hardybox", run_name="__main__")
+"""
+
+
+def _python(*args):
+    src = str(Path(hardybox.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+class TestWithoutScipy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--box", "mermin"],
+            ["enumerate"],
+            ["complete", "--variant", "s1", "--free", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5"],
+            ["examples"],
+            ["simulate", "--box", "mermin", "--n", "10000", "--seed", "7"],
+        ],
+    )
+    def test_command_runs_without_scipy(self, argv):
+        blocked = _python("-c", _WITHOUT_SCIPY, *argv)
+        assert blocked.returncode == 0, blocked.stderr
+        plain = _python("-m", "hardybox", *argv)
+        assert plain.returncode == 0, plain.stderr
+        assert blocked.stdout == plain.stdout
+
+    @pytest.mark.parametrize("argv", [["tsirelson", "--i", "1"], ["quantum-max"]])
+    def test_search_needs_scipy(self, argv):
+        # the blocker works: a search imports scipy first, and fails cleanly without it
+        proc = _python("-c", _WITHOUT_SCIPY, *argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "search failed: scipy import refused" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_only_missing_scipy_is_reported(self, capsys, monkeypatch):
+        def missing(name):
+            def cmd(args):
+                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+            return cmd
+
+        monkeypatch.setattr(cli, "cmd_examples", missing("scipy.optimize"))
+        code, out, err = run(capsys, "examples")
+        assert code == 1 and out == "" and err.startswith("search failed: No module named")
+        monkeypatch.setattr(cli, "cmd_examples", missing("yaml"))
+        with pytest.raises(ModuleNotFoundError):
+            main(["examples"])
+
+    def test_import_loads_no_scipy(self):
+        proc = _python(
+            "-c",
+            "import sys, hardybox; print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

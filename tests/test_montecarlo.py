@@ -5,14 +5,18 @@ any change to the substream scheme or the skip rule breaks them.
 """
 
 import math
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from hardybox import montecarlo
 from hardybox.behavior import Behavior, uniform_behavior
 from hardybox.bell import quadruple_for
 from hardybox.boxes import kwiat_hardy_box, mermin_box, pr_box
 from hardybox.montecarlo import (
+    MAX_TRIALS,
     SETTINGS_SUBSTREAM,
     SampleStats,
     TrialLog,
@@ -167,6 +171,44 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(pr_box(), 10, seed=0, n_shards=0)
 
+    @staticmethod
+    def _forbid_drawing(monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(montecarlo, "settings_sequence", no_draw)
+        monkeypatch.setattr(montecarlo, "block_rng", no_draw)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 7.0, True, "7", None])
+    def test_bad_seed_rejected_before_drawing(self, monkeypatch, seed):
+        self._forbid_drawing(monkeypatch)
+        with pytest.raises(ValueError, match="^seed"):
+            simulate(pr_box(), 10, seed=seed)
+
+    @pytest.mark.parametrize("n", [MAX_TRIALS + 1, -1, 10.0, True])
+    def test_bad_n_rejected_before_allocating(self, monkeypatch, n):
+        self._forbid_drawing(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^n "):
+                simulate(pr_box(), n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limits_accepted(self, monkeypatch):
+        # the largest n and seed pass validation and reach the draw
+        self._forbid_drawing(monkeypatch)
+        with pytest.raises(AssertionError, match="drawn"):
+            simulate(pr_box(), MAX_TRIALS, seed=2**64 - 1)
+        with pytest.raises(AssertionError, match="drawn"):
+            simulate(pr_box(), np.int64(10), seed=np.uint64(5))
+
+    def test_largest_seed_draws(self):
+        log = simulate(pr_box(), 100, seed=2**64 - 1)
+        assert len(log) == 100
+
 
 class TestEstimate:
     def test_counts_from_handmade_log(self):
@@ -308,3 +350,31 @@ class TestSignalingTest:
             if run_signaling_test(stats, alpha=0.05).detected:
                 false_hits += 1
         assert false_hits / runs <= 2 * 0.05
+
+
+class TestNormalDistribution:
+    """The standard-library normal quantile and tail against scipy's."""
+
+    def test_quantile_matches_scipy(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        for alpha in np.logspace(-12, math.log10(0.5), 400):
+            want = norm.ppf(1.0 - alpha)
+            assert abs(NormalDist().inv_cdf(1.0 - alpha) - want) <= 1e-12, alpha
+
+    def test_two_sided_tail_matches_scipy(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        for z in np.linspace(0.0, 37.0, 3701):
+            want = 2.0 * norm.sf(z)
+            assert math.erfc(z / math.sqrt(2.0)) == pytest.approx(want, rel=1e-12, abs=0.0), z
+
+    def test_signaling_p_values_match_scipy(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        rows = [
+            row
+            for box, seed in ((kwiat_hardy_box(), 6), (mermin_box(), 1), (kwiat_hardy_box(), 9))
+            for row in run_signaling_test(estimate(simulate(box, 4000, seed=seed))).rows
+        ]
+        assert any(row.z != 0.0 for row in rows)
+        for row in rows:
+            want = 2.0 * norm.sf(abs(row.z))
+            assert row.p_value == pytest.approx(want, rel=1e-12, abs=0.0)
