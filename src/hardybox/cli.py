@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout, prose to stderr.  Exit codes: 0 on
 success, 1 when a strict check fails or a search does not converge (or
 scipy, which only the searches need, is missing), 2 on malformed input or
-arguments.
+arguments, 141 (`EXIT_BROKEN_PIPE`) when the reader closes stdout before
+the output is written, as in ``hardybox enumerate | head -1``.
 
     hardybox check --box mermin
     hardybox check --input box.json --strict
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -60,10 +62,15 @@ from .quantum import (
     singlet,
 )
 
+#: exit status when stdout is closed early: 128 + SIGPIPE, what a shell
+#: reports for a process that the signal ends
+EXIT_BROKEN_PIPE = 141
+
 
 def _emit(doc: object) -> None:
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe surfaces here, inside `main`
 
 
 def _note(msg: str) -> None:
@@ -367,6 +374,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         _note(f"file not found: {exc.filename}")
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the interpreter's
+        # final flush of what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (KeyError, ValueError) as exc:
         _note(f"error: {exc}")
         return 2

@@ -9,6 +9,16 @@ n, policy)`` and not on how the work is sharded: a shard skips the doubles
 consumed by earlier trials by advancing the counter in whole 4-word blocks
 and discarding the remainder word by word.
 
+`simulate` draws in ``max(n_shards, ceil(n / 2**18))`` consecutive pieces of
+near-equal size, but never more than ``n``: shards beyond ``n`` would be
+empty, and pieces of at most 2**18 trials keep the sort's index buffers
+small.  It keeps a running count of the doubles each block has used, so
+finding every piece's starting points costs O(n) in all.  Within a piece a
+stable sort of the block ids (a radix sort of bytes) groups each block's
+trials; one call draws their doubles, three comparisons with the block's
+cumulative probabilities give each outcome pair as one byte, and a scatter
+through the sort order puts the bytes back in trial order.
+
 Estimation keeps per-block counts and reports Wilson-centered standard
 errors (never zero for a nonempty block, so degenerate frequencies at 0 or
 1 still yield usable intervals).  `test_inequality` turns the lower and
@@ -39,13 +49,27 @@ _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
 SETTINGS_SUBSTREAM = 4
 
 #: most trials `simulate` accepts.  Simulating and estimating peak at about
-#: 30 bytes per trial (tracemalloc, 1M and 4M trials, 1 and 16 shards), so a
-#: run at the cap stays under about 1.8 GB.
+#: 9 bytes per trial (tracemalloc: 9.0 at 4M and 20M trials; at 1M, 10.8 with
+#: 1 shard and 9.0 with 16), so a run at the cap stays under about 600 MB.
 MAX_TRIALS = 60_000_000
+
+#: most trials `simulate` draws and `estimate` tabulates in one piece; bounds
+#: their temporary buffers.
+_PIECE = 1 << 18
 
 
 def _is_int(v: object) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_n(n: object) -> None:
+    if not _is_int(n) or not 0 <= n <= MAX_TRIALS:
+        raise ValueError(f"n must be an integer in 0..{MAX_TRIALS}, got {n!r}")
+
+
+def _check_seed(seed: object) -> None:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
 
 
 def block_rng(seed: int, substream: int, skip: int = 0) -> np.random.Generator:
@@ -53,8 +77,9 @@ def block_rng(seed: int, substream: int, skip: int = 0) -> np.random.Generator:
 
     Philox advances in 4-word counter blocks; a double consumes one 64-bit
     word, so skipping means advancing ``skip // 4`` blocks and discarding
-    ``skip % 4`` raw words.
+    ``skip % 4`` raw words.  ``seed`` is checked like `simulate`'s.
     """
+    _check_seed(seed)
     bg = np.random.Philox(key=np.array([seed, substream], dtype=np.uint64))
     if skip:
         bg.advance(skip // 4)
@@ -67,15 +92,17 @@ def settings_sequence(n: int, seed: int, policy: str = "uniform") -> np.ndarray:
     """Block ids 0..3 for each trial, in block order a1b1, a1b2, a2b1, a2b2.
 
     ``uniform`` draws independently from the settings substream (one double
-    per trial); ``roundrobin`` cycles deterministically.
+    per trial); ``roundrobin`` cycles deterministically.  ``n`` and ``seed``
+    are checked like `simulate`'s.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_n(n)
+    _check_seed(seed)
     if policy == "uniform":
         u = block_rng(seed, SETTINGS_SUBSTREAM).random(n)
-        return (u * 4.0).astype(np.uint8)
+        u *= 4.0
+        return u.astype(np.uint8)
     if policy == "roundrobin":
-        return (np.arange(n) % 4).astype(np.uint8)
+        return np.resize(np.arange(4, dtype=np.uint8), n)
     raise ValueError(f"unknown settings policy {policy!r}")
 
 
@@ -84,6 +111,28 @@ class TrialRecord(NamedTuple):
     setting_b: int
     outcome_a: int
     outcome_b: int
+
+
+def _column(name: str, values, dtype: type) -> np.ndarray:
+    """One validated log column: settings 1, 2 as uint8, outcomes -1, +1 as int8.
+
+    Values are checked in their own integer type before the narrowing cast,
+    so nothing out of range can wrap into range.  ``x - 1`` read as unsigned
+    is at most 1 exactly for x in {1, 2}; ``|x| == 1`` exactly for x = +-1.
+    """
+    x = np.asarray(values)
+    if x.dtype.kind not in "iu":
+        if x.size:
+            raise ValueError(f"{name} must hold integers, got dtype {x.dtype}")
+        return x.astype(dtype)
+    if dtype is np.uint8:
+        ok, allowed = (x - 1).view(f"u{x.itemsize}") <= 1, (1, 2)
+    else:
+        ok, allowed = np.abs(x) == 1, (-1, 1)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise ValueError(f"{name} holds {x[row]} at row {row}, outside {allowed}")
+    return x.astype(dtype, copy=False)
 
 
 class TrialLog(Sequence[TrialRecord]):
@@ -98,20 +147,12 @@ class TrialLog(Sequence[TrialRecord]):
         outcomes_a: np.ndarray,
         outcomes_b: np.ndarray,
     ):
-        sa = np.asarray(settings_a, dtype=np.uint8)
-        sb = np.asarray(settings_b, dtype=np.uint8)
-        oa = np.asarray(outcomes_a, dtype=np.int8)
-        ob = np.asarray(outcomes_b, dtype=np.int8)
+        sa = _column("settings_a", settings_a, np.uint8)
+        sb = _column("settings_b", settings_b, np.uint8)
+        oa = _column("outcomes_a", outcomes_a, np.int8)
+        ob = _column("outcomes_b", outcomes_b, np.int8)
         if not (len(sa) == len(sb) == len(oa) == len(ob)):
             raise ValueError("column lengths differ")
-        for name, col, allowed in (
-            ("settings_a", sa, (1, 2)),
-            ("settings_b", sb, (1, 2)),
-            ("outcomes_a", oa, (-1, 1)),
-            ("outcomes_b", ob, (-1, 1)),
-        ):
-            if len(col) and not np.isin(col, allowed).all():
-                raise ValueError(f"{name} contains values outside {allowed}")
         self.settings_a = sa
         self.settings_b = sb
         self.outcomes_a = oa
@@ -191,12 +232,22 @@ class TrialLog(Sequence[TrialRecord]):
 
     @staticmethod
     def from_csv(path: str | Path) -> "TrialLog":
+        """Read a log written by `to_csv`.
+
+        A row without exactly four integer fields raises a ValueError with
+        its 1-based line number; an out-of-range value one naming its column
+        and row (row i is on line i + 2).
+        """
         with open(path, newline="") as fh:
             r = csv.reader(fh)
             header = next(r, None)
             if header != _CSV_HEADER:
                 raise ValueError(f"bad header {header!r}, expected {_CSV_HEADER!r}")
-            rows = [(int(x[0]), int(x[1]), int(x[2]), int(x[3])) for x in r]
+            try:
+                rows = [(int(sa), int(sb), int(oa), int(ob)) for sa, sb, oa, ob in r]
+            except ValueError as exc:
+                msg = f"line {r.line_num}: expected four integer fields ({exc})"
+                raise ValueError(msg) from None
         return TrialLog.from_records(rows)
 
 
@@ -212,55 +263,60 @@ def simulate(
     Cells must be valid probabilities; each sampled block is renormalized to
     its own total, which must be positive.  The result is identical for any
     ``n_shards`` (sharding only controls how the streams are consumed), which
-    the test suite pins down.  ``n`` must be an integer in 0..`MAX_TRIALS`
-    and ``seed`` one in 0..2**64 - 1 (a Philox key word); both are checked
-    before anything is drawn.
+    the test suite pins down.  ``n`` must be an integer in 0..`MAX_TRIALS`,
+    ``seed`` one in 0..2**64 - 1 (a Philox key word) and ``n_shards`` a
+    positive integer; all are checked before anything is drawn.  The module
+    docstring describes how the draw is organized.
     """
-    if not _is_int(n) or not 0 <= n <= MAX_TRIALS:
-        raise ValueError(f"n must be an integer in 0..{MAX_TRIALS}, got {n!r}")
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
+    _check_n(n)
+    _check_seed(seed)
     if not is_valid(b):
         raise ValueError("behavior cells must lie in [0, 1]")
-    if n_shards < 1:
-        raise ValueError("n_shards must be positive")
+    if not _is_int(n_shards) or n_shards < 1:
+        raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
     ids = settings_sequence(n, seed, policy)
-    block_cum: list[np.ndarray | None] = []
+    # a double u gives outcome pair 2 * (A gave -1) + (B gave -1): the number
+    # of the block's first three cumulative probabilities at or below u (the
+    # fourth is 1 > u), which is what searchsorted(side="right") would return
+    block_cuts: list[np.ndarray | None] = []
     for j in (1, 2):
         for k in (1, 2):
             cells = np.array(b.block(j, k))
             total = cells.sum()
-            if total <= 0.0:
-                block_cum.append(None)
-                continue
-            cum = np.cumsum(cells / total)
-            cum[-1] = 1.0
-            block_cum.append(cum)
+            block_cuts.append(np.cumsum(cells / total)[:3] if total > 0.0 else None)
 
-    bounds = [s * n // n_shards for s in range(n_shards + 1)]
-    parts: list[TrialLog] = []
-    for s in range(n_shards):
-        start, end = bounds[s], bounds[s + 1]
+    code = np.empty(n, dtype=np.uint8)
+    drawn = [0, 0, 0, 0]  # doubles taken so far from each block's stream
+    pieces = max(min(n_shards, n), -(-n // _PIECE))
+    for s in range(pieces):
+        start, end = s * n // pieces, (s + 1) * n // pieces
         ids_s = ids[start:end]
-        prefix = np.bincount(ids[:start], minlength=4)
-        oa = np.empty(end - start, dtype=np.int8)
-        ob = np.empty(end - start, dtype=np.int8)
+        order = np.argsort(ids_s, kind="stable")
+        code_sorted = np.empty(end - start, dtype=np.uint8)
+        pos = 0
         for g in range(4):
-            where = np.nonzero(ids_s == g)[0]
-            if not len(where):
+            m = int(np.count_nonzero(ids_s == g))
+            if not m:
                 continue
-            cum = block_cum[g]
-            if cum is None:
+            cuts = block_cuts[g]
+            if cuts is None:
                 j, k = 1 + g // 2, 1 + g % 2
                 raise ValueError(f"block ({j},{k}) has zero total probability")
-            u = block_rng(seed, g, skip=int(prefix[g])).random(len(where))
-            idx = np.searchsorted(cum, u, side="right")
-            oa[where] = 1 - 2 * (idx >> 1)
-            ob[where] = 1 - 2 * (idx & 1)
-        parts.append(
-            TrialLog(1 + (ids_s >> 1), 1 + (ids_s & 1), oa, ob)
-        )
-    return TrialLog.concat(parts)
+            u = block_rng(seed, g, skip=drawn[g]).random(m)
+            out = code_sorted[pos : pos + m]
+            np.greater_equal(u, cuts[0], out=out.view(bool))
+            out += (u >= cuts[1]).view(np.uint8)
+            out += (u >= cuts[2]).view(np.uint8)
+            drawn[g] += m
+            pos += m
+        code[start:end][order] = code_sorted
+    # 1 - 2 * bit in int8: +1 for a clear bit, -1 for a set one
+    return TrialLog(
+        1 + (ids >> 1),
+        1 + (ids & 1),
+        1 - 2 * (code >> 1).view(np.int8),
+        1 - 2 * (code & 1).view(np.int8),
+    )
 
 
 def _wilson_stderr(x: np.ndarray, n: int) -> np.ndarray:
@@ -327,12 +383,16 @@ class SampleStats:
 
 def estimate(log: TrialLog) -> SampleStats:
     """Tabulate a trial log into per-cell statistics."""
-    ids = log.block_ids()
-    offs = ((1 - log.outcomes_a.astype(np.int64)) + (1 - log.outcomes_b.astype(np.int64)) // 2).astype(
-        np.int64
-    )
-    flat = np.bincount(ids.astype(np.int64) * 4 + offs, minlength=16)
-    return SampleStats.from_counts(flat.reshape(4, 4))
+    columns = (log.settings_a, log.settings_b, log.outcomes_a, log.outcomes_b)
+    flat = np.zeros(28, dtype=np.int64)
+    for i in range(0, len(log), _PIECE):
+        sa, sb, oa, ob = (c[i : i + _PIECE] for c in columns)
+        # one byte per trial: 12 + 4 * block + outcome pair, so 12..27
+        code = (sa << 3) + (sb << 2)
+        code += (oa < 0).view(np.uint8) << 1
+        code += (ob < 0).view(np.uint8)
+        flat += np.bincount(code, minlength=28)
+    return SampleStats.from_counts(flat[12:].reshape(4, 4))
 
 
 @dataclass(frozen=True)

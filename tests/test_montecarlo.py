@@ -4,12 +4,17 @@ The pinned stream vectors freeze the exact Philox keying and word layout;
 any change to the substream scheme or the skip rule breaks them.
 """
 
+import hashlib
 import math
+import time
 import tracemalloc
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardybox import montecarlo
 from hardybox.behavior import Behavior, uniform_behavior
@@ -378,3 +383,186 @@ class TestNormalDistribution:
         for row in rows:
             want = 2.0 * norm.sf(abs(row.z))
             assert row.p_value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _fingerprint(log: TrialLog) -> str:
+    h = hashlib.sha256()
+    for col in (log.settings_a, log.settings_b, log.outcomes_a, log.outcomes_b):
+        h.update(col.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedLog:
+    """The exact log and counts of one simulation, recorded before the
+    sort-and-scatter draw replaced the per-block searchsorted one."""
+
+    UNIFORM = "be63a157c5ea85ead6b17520c2b0ad56029f09069f68399549d36b13e4e58f29"
+    ROUNDROBIN = "3b7966e12f6425ffe933cb52b942042befcf3af7d618eec3df153992429b7340"
+    UNIFORM_COUNTS = (
+        (635, 887, 907, 0),
+        (0, 1585, 587, 360),
+        (0, 581, 1576, 369),
+        (233, 356, 327, 1604),
+    )
+    ROUNDROBIN_COUNTS = (
+        (657, 913, 932, 0),
+        (0, 1570, 576, 356),
+        (0, 578, 1559, 365),
+        (233, 352, 327, 1589),
+    )
+
+    @pytest.mark.parametrize("shards", [1, 7])
+    def test_uniform(self, shards):
+        log = simulate(mermin_box(), 10_007, seed=2024, n_shards=shards)
+        columns = (log.settings_a, log.settings_b, log.outcomes_a, log.outcomes_b)
+        assert [c.dtype for c in columns] == [np.uint8, np.uint8, np.int8, np.int8]
+        assert _fingerprint(log) == self.UNIFORM
+        assert estimate(log).counts == self.UNIFORM_COUNTS
+
+    def test_roundrobin(self):
+        log = simulate(mermin_box(), 10_007, seed=2024, policy="roundrobin")
+        assert _fingerprint(log) == self.ROUNDROBIN
+        assert estimate(log).counts == self.ROUNDROBIN_COUNTS
+
+    @pytest.mark.parametrize("box", [mermin_box, kwiat_hardy_box, pr_box])
+    @pytest.mark.parametrize("n", [400, 2**18 + 3, 3 * 2**18 - 1])
+    def test_block_stream_reference(self, box, n):
+        # the definition: the i-th trial of block g takes the i-th double u of
+        # substream g and lands on searchsorted(cumulative probabilities, u)
+        b, seed = box(), 17
+        ids = settings_sequence(n, seed)
+        outcome = np.empty(n, dtype=np.int64)
+        for g in range(4):
+            where = np.flatnonzero(ids == g)
+            cells = np.array(b.block(1 + g // 2, 1 + g % 2))
+            cum = np.cumsum(cells / cells.sum())
+            cum[-1] = 1.0
+            outcome[where] = np.searchsorted(cum, block_rng(seed, g).random(len(where)), "right")
+        want = TrialLog(1 + ids // 2, 1 + ids % 2, 1 - 2 * (outcome // 2), 1 - 2 * (outcome % 2))
+        for shards in (1, 3):
+            assert simulate(b, n, seed, n_shards=shards) == want
+
+_records = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2]),
+        st.sampled_from([1, 2]),
+        st.sampled_from([-1, 1]),
+        st.sampled_from([-1, 1]),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_records)
+def test_estimate_matches_counter(records):
+    log = TrialLog.from_records(records)
+    tally = Counter(list(log))
+    stats = estimate(log)
+    for g, (sa, sb) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
+        for o, (oa, ob) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+            assert stats.counts[g][o] == tally[TrialRecord(sa, sb, oa, ob)]
+    assert sum(stats.trials_per_block) == len(records)
+
+
+class TestTrialLogRange:
+    """Values are checked before the narrowing cast, in every integer type."""
+
+    @pytest.mark.parametrize(
+        "record, column",
+        [
+            ((257, 1, 1, 1), "settings_a"),
+            ((1, 258, 1, 1), "settings_b"),
+            ((1, 1, 255, 1), "outcomes_a"),
+            ((1, 1, 1, -255), "outcomes_b"),
+            ((1, 1, 1, 257), "outcomes_b"),
+            ((-255, 1, 1, 1), "settings_a"),
+            ((0, 1, 1, 1), "settings_a"),
+            ((1, 1, -129, 1), "outcomes_a"),
+            ((2**63 - 1, 1, 1, 1), "settings_a"),
+            ((1, 1, 1, -(2**63)), "outcomes_b"),
+        ],
+    )
+    def test_wrapping_values_rejected(self, record, column):
+        with pytest.raises(ValueError, match=f"^{column} "):
+            TrialLog.from_records([(1, 1, 1, 1), record])
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64],
+    )
+    def test_accepts_exactly_the_allowed_values(self, dtype):
+        info = np.iinfo(dtype)
+        candidates = {info.min, info.min + 1, info.max - 1, info.max, 255, 256, 257, 65537}
+        candidates |= set(range(-3, 4))
+        for v in sorted(c for c in candidates if info.min <= c <= info.max):
+            x = np.array([v], dtype=dtype)
+            one = np.ones(1, dtype=dtype)
+            for name, args, allowed in (
+                ("settings_a", (x, one, one, one), (1, 2)),
+                ("outcomes_b", (one, one, one, x), (-1, 1)),
+            ):
+                if v in allowed:
+                    assert TrialLog(*args)[0] == TrialRecord(*(int(a[0]) for a in args))
+                else:
+                    with pytest.raises(ValueError, match=f"^{name} "):
+                        TrialLog(*args)
+
+    def test_non_integer_columns_rejected(self):
+        one = np.ones(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="^settings_b "):
+            TrialLog(one, np.array([1.5]), one, one)
+        with pytest.raises(ValueError, match="^outcomes_a "):
+            TrialLog(one, one, np.array([True]), one)
+
+    def test_csv_wrapping_row_rejected(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text("settingA,settingB,outcomeA,outcomeB\n1,1,+1,+1\n257,1,+1,-255\n")
+        with pytest.raises(ValueError, match="^settings_a holds 257 at row 1"):
+            TrialLog.from_csv(path)
+        path.write_text("settingA,settingB,outcomeA,outcomeB\n1,1,+1,-255\n")
+        with pytest.raises(ValueError, match="^outcomes_b "):
+            TrialLog.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "row", ["1,1,+1", "1,1,+1,+1,1", "1,x,+1,+1", "1,1,+1.0,+1", "", "1,1,,+1"]
+    )
+    def test_csv_malformed_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "trials.csv"
+        rows = ["settingA,settingB,outcomeA,outcomeB", "1,1,+1,+1", "2,2,-1,-1", row, "1,1,+1,+1"]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="^line 4: "):
+            TrialLog.from_csv(path)
+
+
+class TestHelperValidation:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed"):
+            settings_sequence(10, seed)
+        with pytest.raises(ValueError, match="^seed"):
+            block_rng(seed, 0)
+
+    @pytest.mark.parametrize("n", [10.5, -1, MAX_TRIALS + 1, True, "10"])
+    def test_bad_n(self, n):
+        with pytest.raises(ValueError, match="^n "):
+            settings_sequence(n, 1)
+
+    def test_limits_accepted(self):
+        assert len(settings_sequence(3, 2**64 - 1)) == 3
+        assert block_rng(2**64 - 1, 0).random() == block_rng(2**64 - 1, 0).random()
+
+    @pytest.mark.parametrize("shards", [2.5, 0, -3, True, "4", None])
+    def test_bad_shards_rejected_before_drawing(self, monkeypatch, shards):
+        TestSimulate._forbid_drawing(monkeypatch)
+        with pytest.raises(ValueError, match="^n_shards"):
+            simulate(pr_box(), 10, seed=0, n_shards=shards)
+
+    def test_shards_beyond_n_are_skipped(self):
+        # 37 one-trial shards take milliseconds; a pass over all 10**7 would take seconds
+        base = simulate(mermin_box(), 37, seed=4)
+        start = time.perf_counter()
+        assert simulate(mermin_box(), 37, seed=4, n_shards=10**7) == base
+        assert len(simulate(mermin_box(), 0, seed=4, n_shards=10**7)) == 0
+        assert time.perf_counter() - start < 0.5
+        assert simulate(mermin_box(), 37, seed=4, n_shards=37) == base
