@@ -47,28 +47,6 @@ class Party(enum.Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class SettingId:
-    """One of the four measurement settings: a1, a2, b1, b2."""
-
-    party: Party
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index not in (1, 2):
-            raise ValueError(f"setting index must be 1 or 2, got {self.index!r}")
-
-    def __str__(self) -> str:
-        return f"{self.party.value.lower()}{self.index}"
-
-
-A1 = SettingId(Party.A, 1)
-A2 = SettingId(Party.A, 2)
-B1 = SettingId(Party.B, 1)
-B2 = SettingId(Party.B, 2)
-SETTING_IDS = (A1, A2, B1, B2)
-
-
 def index_of(setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> int:
     """Map (setting pair, outcome pair) to the 1-based cell index.
 
@@ -270,7 +248,13 @@ def behavior_from_json_dict(doc: object) -> tuple[Behavior, str | None]:
     if not isinstance(probs, list) or len(probs) != 16:
         raise SchemaError("'probs' must be an array of 16 numbers", field_name="probs")
     for i, x in enumerate(probs):
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        try:
+            finite = not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+        except OverflowError:  # JSON integers are unbounded
+            raise SchemaError(
+                f"'probs[{i}]' is an integer too large for a float", field_name=f"probs[{i}]"
+            ) from None
+        if not finite:
             raise SchemaError(
                 f"'probs[{i}]' must be a finite number, got {x!r}", field_name=f"probs[{i}]"
             )

@@ -17,6 +17,14 @@ together:
   pk = pl = pm = 0 with pj > 0, exactly the sixteen inequalities tied to the
   same probability sum are violated, all by pj.
 
+Every quantity here is linear in the sixteen cells, so each function reads
+its values off one product with a coefficient matrix built at import.  Its
+rows: the indicators of ``SIGMA_SUPPORTS[i]`` and of their complements
+(Sigma_i, Sigma'_i); twice those Sigma_i rows minus one (Delta_i); the
+Delta_i signs on the (+,+) cells less the marginals of the settings outside
+the block signed -1 (six-term CH); `_CH_FOUR_TERM`; and the Hardy lower
+slacks pk + pl + pm - pj, each upper slack being 1 minus its lower one.
+
 Cell numbering follows `hardybox.behavior`.
 """
 
@@ -24,24 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
-from .behavior import (
-    DEFAULT_TOL,
-    Behavior,
-    correlation_vector,
-    is_no_signaling,
-    is_normalized,
-)
+import numpy as np
+
+from .behavior import DEFAULT_TOL, Behavior, index_of, is_no_signaling, is_normalized
 from .locality import SIGMA_PRIME_SUPPORTS, SIGMA_SUPPORTS, FreeSetId, completion_signs
-
-# Signs of (c11, c12, c21, c22) in each correlation sum, and of the joint
-# cells (p1, p5, p9, p13) in the six-term CH forms.
-_DELTA_SIGNS: dict[int, tuple[int, int, int, int]] = {
-    1: (+1, +1, +1, -1),
-    2: (+1, +1, -1, +1),
-    3: (+1, -1, +1, +1),
-    4: (-1, +1, +1, +1),
-}
 
 # Four-probability CH forms, one of the four equivalent reductions per index.
 _CH_FOUR_TERM: dict[int, tuple[tuple[int, int], ...]] = {
@@ -50,9 +46,6 @@ _CH_FOUR_TERM: dict[int, tuple[tuple[int, int], ...]] = {
     3: ((-1, 3), (-1, 5), (-1, 10), (+1, 13)),
     4: ((-1, 1), (+1, 5), (-1, 10), (-1, 15)),
 }
-
-# Which marginal of each party enters the six-term CH forms.
-_CH_MARGINAL_SETTING: dict[int, tuple[int, int]] = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
 
 
 @dataclass(frozen=True)
@@ -63,9 +56,8 @@ class SigmaValues:
 
 def sigma_values(b: Behavior) -> SigmaValues:
     """The four probability sums and their complements."""
-    sigma = tuple(sum(b.p(c) for c in SIGMA_SUPPORTS[i]) for i in (1, 2, 3, 4))
-    prime = tuple(sum(b.p(c) for c in SIGMA_PRIME_SUPPORTS[i]) for i in (1, 2, 3, 4))
-    return SigmaValues(sigma, prime)  # type: ignore[arg-type]
+    v = _values(b)
+    return SigmaValues(v[_SIGMA], v[_SIGMA_PRIME])  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -75,10 +67,7 @@ class DeltaValues:
 
 def delta_values(b: Behavior) -> DeltaValues:
     """The four CHSH correlation sums."""
-    c = correlation_vector(b).as_tuple()
-    return DeltaValues(
-        tuple(sum(s * x for s, x in zip(_DELTA_SIGNS[i], c)) for i in (1, 2, 3, 4))  # type: ignore[arg-type]
-    )
+    return DeltaValues(_values(b)[_DELTA])  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -88,10 +77,7 @@ class ChValues:
 
 def ch_values(b: Behavior) -> ChValues:
     """CH quantities in the reduced four-probability form."""
-    vals = tuple(
-        sum(sign * b.p(cell) for sign, cell in _CH_FOUR_TERM[i]) for i in (1, 2, 3, 4)
-    )
-    return ChValues(vals)  # type: ignore[arg-type]
+    return ChValues(_values(b)[_CH_FOUR])  # type: ignore[arg-type]
 
 
 def ch_values_full(b: Behavior, a_marg_via: int = 1, b_marg_via: int = 1) -> ChValues:
@@ -104,16 +90,7 @@ def ch_values_full(b: Behavior, a_marg_via: int = 1, b_marg_via: int = 1) -> ChV
     """
     if a_marg_via not in (1, 2) or b_marg_via not in (1, 2):
         raise ValueError("marginal block choices must be 1 or 2")
-    joints = (b.prob(1, 1, 1, 1), b.prob(1, 2, 1, 1), b.prob(2, 1, 1, 1), b.prob(2, 2, 1, 1))
-    p_a = {j: b.prob(j, a_marg_via, 1, 1) + b.prob(j, a_marg_via, 1, -1) for j in (1, 2)}
-    p_b = {k: b.prob(b_marg_via, k, 1, 1) + b.prob(b_marg_via, k, -1, 1) for k in (1, 2)}
-    vals = []
-    for i in (1, 2, 3, 4):
-        ja, kb = _CH_MARGINAL_SETTING[i]
-        vals.append(
-            sum(s * x for s, x in zip(_DELTA_SIGNS[i], joints)) - p_a[ja] - p_b[kb]
-        )
-    return ChValues(tuple(vals))  # type: ignore[arg-type]
+    return ChValues(_values(b)[_CH_FULL[a_marg_via, b_marg_via]])  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -153,17 +130,7 @@ def _enumerate() -> tuple[HardyQuadruple, ...]:
             positive = tuple(sorted(c for c, s in zip(free, signs[j]) if s > 0))
             if len(positive) != 3:
                 raise AssertionError(f"completion row for cell {j} must have 3 plus signs")
-            quads.append(
-                HardyQuadruple(
-                    j=j,
-                    k=positive[0],
-                    l=positive[1],
-                    m=positive[2],
-                    family=family,
-                    sigma_index=variant.sigma_index,
-                    primed=variant.primed,
-                )
-            )
+            quads.append(HardyQuadruple(j, *positive, family, variant.sigma_index, variant.primed))
     return tuple(quads)
 
 
@@ -182,6 +149,50 @@ def quadruple_for(family: int, j: int) -> HardyQuadruple:
         return _BY_FAMILY_J[(family, j)]
     except KeyError:
         raise ValueError(f"no inequality with family={family} and j={j}") from None
+
+
+_MARGINAL_CHOICES = tuple(product((1, 2), (1, 2)))
+
+
+def _row(terms: Iterable[tuple[float, int]]) -> np.ndarray:
+    """One coefficient row from (coefficient, cell) pairs; repeated cells add up."""
+    row = np.zeros(16)
+    for coefficient, cell in terms:
+        row[cell - 1] += coefficient
+    return row
+
+
+def _ch_full_row(delta: np.ndarray, a_marg_via: int, b_marg_via: int) -> np.ndarray:
+    signs = delta[::4]  # each setting block's sign, read at its (+,+) cell
+    ja, kb = divmod(3 - int(np.argmin(signs)), 2)  # the block opposite the -1 one, from 0
+    return _row(
+        [(sign, 4 * block + 1) for block, sign in enumerate(signs)]
+        + [(-1, index_of(ja + 1, a_marg_via, 1, o)) for o in (1, -1)]
+        + [(-1, index_of(b_marg_via, kb + 1, o, 1)) for o in (1, -1)]
+    )
+
+
+def _build_rows() -> np.ndarray:
+    sigma = [_row((1, c) for c in SIGMA_SUPPORTS[i]) for i in (1, 2, 3, 4)]
+    prime = [_row((1, c) for c in SIGMA_PRIME_SUPPORTS[i]) for i in (1, 2, 3, 4)]
+    delta = [2.0 * row - 1.0 for row in sigma]
+    ch_four = [_row(_CH_FOUR_TERM[i]) for i in (1, 2, 3, 4)]
+    ch_full = [_ch_full_row(row, *via) for via in _MARGINAL_CHOICES for row in delta]
+    hardy = [_row(((1, q.k), (1, q.l), (1, q.m), (-1, q.j))) for q in HARDY_QUADRUPLES]
+    return np.array(sigma + prime + delta + ch_four + ch_full + hardy)
+
+
+# Rows in blocks of four: Sigma, Sigma', Delta, four-term CH, six-term CH
+# per marginal choice; then the 64 Hardy lower slacks.
+_ROWS = _build_rows()
+_SIGMA, _SIGMA_PRIME, _DELTA, _CH_FOUR = (slice(r, r + 4) for r in (0, 4, 8, 12))
+_CH_FULL = {via: slice(16 + 4 * n, 20 + 4 * n) for n, via in enumerate(_MARGINAL_CHOICES)}
+_HARDY_LOWER = slice(32, 96)
+
+
+def _values(b: Behavior) -> tuple[float, ...]:
+    """Every row of the coefficient matrix evaluated on ``b``."""
+    return tuple((_ROWS @ np.asarray(b.probs)).tolist())
 
 
 @dataclass(frozen=True)
@@ -246,7 +257,7 @@ class ViolationReport:
                 "violated_upper": self.n_violated_upper,
                 "violated": self.n_violated,
                 "satisfied": self.n_satisfied,
-                "violated_by_family": [self.by_family()[f] for f in range(1, 9)],
+                "violated_by_family": list(self.by_family().values()),
             },
         }
 
@@ -254,19 +265,9 @@ class ViolationReport:
 def hardy_check(b: Behavior, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Evaluate all 64 inequalities; a bound is violated when its slack < -tol."""
     checks = []
-    for q in HARDY_QUADRUPLES:
-        rhs = b.p(q.k) + b.p(q.l) + b.p(q.m)
-        lower = rhs - b.p(q.j)
-        upper = 1.0 + b.p(q.j) - rhs
-        checks.append(
-            InequalityCheck(
-                quadruple=q,
-                lower_slack=lower,
-                upper_slack=upper,
-                violated_lower=lower < -tol,
-                violated_upper=upper < -tol,
-            )
-        )
+    for q, lower in zip(HARDY_QUADRUPLES, _values(b)[_HARDY_LOWER]):
+        upper = 1.0 - lower
+        checks.append(InequalityCheck(q, lower, upper, lower < -tol, upper < -tol))
     return ViolationReport(tuple(checks), tol)
 
 
@@ -313,19 +314,19 @@ def chsh_check(b: Behavior, tol: float = DEFAULT_TOL) -> ChshReport:
     together by normalization alone; signaling boxes are fine here)."""
     if not is_normalized(b, tol=max(tol, DEFAULT_TOL)):
         raise ValueError("chsh_check needs a normalized behavior")
-    sv = sigma_values(b)
-    dv = delta_values(b).delta
+    v = _values(b)
+    sigma, prime, dv = v[_SIGMA], v[_SIGMA_PRIME], v[_DELTA]
     sigma_viol = tuple(
-        not (1.0 - tol <= sv.sigma[i] <= 3.0 + tol and 1.0 - tol <= sv.sigma_prime[i] <= 3.0 + tol)
+        not (1.0 - tol <= sigma[i] <= 3.0 + tol and 1.0 - tol <= prime[i] <= 3.0 + tol)
         for i in range(4)
     )
     delta_viol = tuple(abs(dv[i]) > 2.0 + tol for i in range(4))
-    consistency = tuple(dv[i] - 2.0 * (sv.sigma[i] - 2.0) for i in range(4))
+    consistency = tuple(dv[i] - 2.0 * (sigma[i] - 2.0) for i in range(4))
     return ChshReport(
         tol=tol,
-        sigma=sv.sigma,
-        sigma_prime=sv.sigma_prime,
-        delta=dv,
+        sigma=sigma,  # type: ignore[arg-type]
+        sigma_prime=prime,  # type: ignore[arg-type]
+        delta=dv,  # type: ignore[arg-type]
         sigma_violations=sigma_viol,  # type: ignore[arg-type]
         delta_violations=delta_viol,  # type: ignore[arg-type]
         consistency_residuals=consistency,  # type: ignore[arg-type]
@@ -419,16 +420,15 @@ class EquivalenceAudit:
 
 
 def equivalence_audit(b: Behavior, tol: float = DEFAULT_TOL) -> EquivalenceAudit:
-    sv = sigma_values(b)
-    dv = delta_values(b).delta
-    four = ch_values(b).b
-    full = ch_values_full(b).b
-    half = tuple((sv.sigma[i] - 3.0) / 2.0 for i in range(4))
+    v = _values(b)
+    sigma, prime, dv = v[_SIGMA], v[_SIGMA_PRIME], v[_DELTA]
+    four, full = v[_CH_FOUR], v[_CH_FULL[1, 1]]
+    half = tuple((sigma[i] - 3.0) / 2.0 for i in range(4))
     return EquivalenceAudit(
         tol=tol,
         no_signaling=is_no_signaling(b, tol=tol),
-        delta_sigma=tuple(dv[i] - 2.0 * (sv.sigma[i] - 2.0) for i in range(4)),  # type: ignore[arg-type]
-        sigma_pair=tuple(sv.sigma[i] + sv.sigma_prime[i] - 4.0 for i in range(4)),  # type: ignore[arg-type]
+        delta_sigma=tuple(dv[i] - 2.0 * (sigma[i] - 2.0) for i in range(4)),  # type: ignore[arg-type]
+        sigma_pair=tuple(sigma[i] + prime[i] - 4.0 for i in range(4)),  # type: ignore[arg-type]
         ch_four_term=tuple(four[i] - half[i] for i in range(4)),  # type: ignore[arg-type]
         ch_full=tuple(full[i] - half[i] for i in range(4)),  # type: ignore[arg-type]
     )
@@ -466,7 +466,7 @@ def sigma_shift_of_hardy(
         raise ValueError(
             f"cells ({q.k}, {q.l}, {q.m}) must vanish within {zero_tol:g}, got {zeros}"
         )
-    sigma = sum(b.p(c) for c in SIGMA_SUPPORTS[q.sigma_index])
+    sigma = _values(b)[_SIGMA][q.sigma_index - 1]
     pj = b.p(q.j)
     predicted = 3.0 + 2.0 * pj if q.primed else 1.0 - 2.0 * pj
     return SigmaShift(sigma_value=sigma, predicted=predicted)

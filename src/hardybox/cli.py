@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout, prose to stderr.  Exit codes: 0 on
 success, 1 when a strict check fails or a search does not converge (or
 scipy, which only the searches need, is missing), 2 on malformed input or
-arguments, 141 (`EXIT_BROKEN_PIPE`) when the reader closes stdout before
-the output is written, as in ``hardybox enumerate | head -1``.
+arguments or a named file that cannot be opened, 141 (`EXIT_BROKEN_PIPE`)
+when the reader closes stdout before the output is written, as in
+``hardybox enumerate | head -1``.
 
     hardybox check --box mermin
     hardybox check --input box.json --strict
@@ -371,14 +372,16 @@ def main(argv: list[str] | None = None) -> int:
             raise
         _note(f"search failed: {exc}")
         return 1
-    except FileNotFoundError as exc:
-        _note(f"file not found: {exc.filename}")
-        return 2
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so the interpreter's
         # final flush of what is still buffered stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        if exc.filename is None:  # not about a file named in the arguments
+            raise
+        _note(f"cannot open {exc.filename}: {exc.strerror}")
+        return 2
     except (KeyError, ValueError) as exc:
         _note(f"error: {exc}")
         return 2

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .behavior import Behavior, SchemaError, cell_of, correlation_vector
-from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values
+from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values, sigma_values
 
 #: Largest Hardy probability reachable by two-qubit states: golden mean to the -5.
 HARDY_MAX_PROBABILITY = (2.0 / (1.0 + math.sqrt(5.0))) ** 5
@@ -531,7 +531,7 @@ def maximize_sigma(
     return SigmaOptimum(
         sigma_index=sigma_index,
         minimize=minimize_value,
-        value=sum(b.p(c) for c in SIGMA_SUPPORTS[sigma_index]),
+        value=sigma_values(b).sigma[sigma_index - 1],
         state=state,
         settings=settings,
         diagnostics=diagnostics,

@@ -183,6 +183,12 @@ class TestJson:
             behavior_from_json_dict({"label": "x"})
         assert exc.value.field_name == "probs"
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_integer_beyond_float_range(self, big):
+        with pytest.raises(SchemaError) as exc:
+            behavior_from_json_dict({"probs": [big] + [0] * 15})
+        assert exc.value.field_name == "probs[0]"
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "box.json"
         save_behavior(pr_box(), path, label="pr")

@@ -342,3 +342,101 @@ class TestEquivalenceAudit:
         assert doc["flagged"] is False
         assert "ch_full_residuals" in doc
         assert doc["ch_identities_ok"] is True
+
+
+def _textbook_forms(p: np.ndarray, a_marg_via: int, b_marg_via: int) -> dict:
+    """Every linear quantity of `bell`, written out cell by cell from the
+    CHSH, CH and Hardy forms, for a box given as its 16 cells."""
+
+    def P(x, y, a, b):  # P(outcomes a, b | settings x, y), outcomes "+" or "-"
+        return p[4 * (2 * (x - 1) + (y - 1)) + {"++": 0, "+-": 1, "-+": 2, "--": 3}[a + b]]
+
+    def same(x, y):
+        return P(x, y, "+", "+") + P(x, y, "-", "-")
+
+    def diff(x, y):
+        return P(x, y, "+", "-") + P(x, y, "-", "+")
+
+    def corr(x, y):
+        return same(x, y) - diff(x, y)
+
+    def pa(x):  # P(a_x = +) from the block where B measured b_{a_marg_via}
+        return P(x, a_marg_via, "+", "+") + P(x, a_marg_via, "+", "-")
+
+    def pb(y):  # P(b_y = +) from the block where A measured a_{b_marg_via}
+        return P(b_marg_via, y, "+", "+") + P(b_marg_via, y, "-", "+")
+
+    def pp(x, y):
+        return P(x, y, "+", "+")
+
+    return {
+        "sigma": (
+            same(1, 1) + same(1, 2) + same(2, 1) + diff(2, 2),
+            same(1, 1) + same(1, 2) + diff(2, 1) + same(2, 2),
+            same(1, 1) + diff(1, 2) + same(2, 1) + same(2, 2),
+            diff(1, 1) + same(1, 2) + same(2, 1) + same(2, 2),
+        ),
+        "sigma_prime": (
+            diff(1, 1) + diff(1, 2) + diff(2, 1) + same(2, 2),
+            diff(1, 1) + diff(1, 2) + same(2, 1) + diff(2, 2),
+            diff(1, 1) + same(1, 2) + diff(2, 1) + diff(2, 2),
+            same(1, 1) + diff(1, 2) + diff(2, 1) + diff(2, 2),
+        ),
+        "delta": (
+            corr(1, 1) + corr(1, 2) + corr(2, 1) - corr(2, 2),
+            corr(1, 1) + corr(1, 2) - corr(2, 1) + corr(2, 2),
+            corr(1, 1) - corr(1, 2) + corr(2, 1) + corr(2, 2),
+            -corr(1, 1) + corr(1, 2) + corr(2, 1) + corr(2, 2),
+        ),
+        "ch_four_term": (
+            pp(1, 2) - P(1, 1, "+", "-") - P(2, 1, "-", "+") - pp(2, 2),
+            pp(1, 2) - P(1, 1, "+", "-") - pp(2, 1) - P(2, 2, "-", "+"),
+            pp(2, 2) - P(1, 1, "-", "+") - pp(1, 2) - P(2, 1, "+", "-"),
+            pp(1, 2) - pp(1, 1) - P(2, 1, "+", "-") - P(2, 2, "-", "+"),
+        ),
+        "ch_full": (
+            pp(1, 1) + pp(1, 2) + pp(2, 1) - pp(2, 2) - pa(1) - pb(1),
+            pp(1, 1) + pp(1, 2) - pp(2, 1) + pp(2, 2) - pa(1) - pb(2),
+            pp(1, 1) - pp(1, 2) + pp(2, 1) + pp(2, 2) - pa(2) - pb(1),
+            -pp(1, 1) + pp(1, 2) + pp(2, 1) + pp(2, 2) - pa(2) - pb(2),
+        ),
+        "lower": [p[q.k - 1] + p[q.l - 1] + p[q.m - 1] - p[q.j - 1] for q in HARDY_QUADRUPLES],
+        "upper": [1.0 + p[q.j - 1] - p[q.k - 1] - p[q.l - 1] - p[q.m - 1] for q in HARDY_QUADRUPLES],
+    }
+
+
+class TestTextbookForms:
+    """Every quantity on signaling boxes, where the CH marginal choices differ."""
+
+    @pytest.mark.parametrize("a_marg_via, b_marg_via", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_random_signaling_boxes(self, a_marg_via, b_marg_via):
+        rng = np.random.default_rng(2024)
+        tol = 1e-12
+        for _ in range(40):
+            p = rng.dirichlet(np.ones(4), size=4).reshape(16)
+            b = Behavior(tuple(p))
+            assert not is_no_signaling(b, tol=1e-3)
+            want = _textbook_forms(p, a_marg_via, b_marg_via)
+            sv = sigma_values(b)
+            assert sv.sigma == pytest.approx(want["sigma"], abs=tol)
+            assert sv.sigma_prime == pytest.approx(want["sigma_prime"], abs=tol)
+            assert delta_values(b).delta == pytest.approx(want["delta"], abs=tol)
+            assert ch_values(b).b == pytest.approx(want["ch_four_term"], abs=tol)
+            full = ch_values_full(b, a_marg_via=a_marg_via, b_marg_via=b_marg_via).b
+            assert full == pytest.approx(want["ch_full"], abs=tol)
+            rep = ch_check(b, tol, a_marg_via=a_marg_via, b_marg_via=b_marg_via)
+            assert rep.b_full == pytest.approx(want["ch_full"], abs=tol)
+            rep = hardy_check(b, tol)
+            assert [c.lower_slack for c in rep.checks] == pytest.approx(want["lower"], abs=tol)
+            assert [c.upper_slack for c in rep.checks] == pytest.approx(want["upper"], abs=tol)
+            chsh = chsh_check(b, tol)
+            assert chsh.sigma == pytest.approx(want["sigma"], abs=tol)
+            assert chsh.delta == pytest.approx(want["delta"], abs=tol)
+            # the audit reads the six-term form with the default choice (1, 1)
+            audit = equivalence_audit(b, tol)
+            half = [(x - 3.0) / 2.0 for x in want["sigma"]]
+            default_full = _textbook_forms(p, 1, 1)["ch_full"]
+            assert audit.ch_full == pytest.approx([f - h for f, h in zip(default_full, half)], abs=tol)
+            assert audit.ch_four_term == pytest.approx(
+                [f - h for f, h in zip(want["ch_four_term"], half)], abs=tol
+            )

@@ -63,6 +63,14 @@ class TestCheck:
         assert code == 2
         assert "probs" in err
 
+    def test_integer_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"probs": [1' + "0" * 400 + ", 0" * 15 + "]}")
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error in probs[0]:" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("flag", ["--tol", "--eps"])
     def test_bad_tolerance_rejected(self, capsys, flag, value):
@@ -228,6 +236,21 @@ class TestQuantumCommands:
     def test_bad_quadruple_format(self, capsys):
         code, _, _ = run(capsys, "quantum-max", "--quadruple", "13")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--input", "{dir}"],
+        ["tsirelson", "--config", "{dir}"],
+        ["simulate", "--box", "mermin", "--n", "100", "--out-csv", "{dir}"],
+    ],
+)
+def test_path_that_cannot_be_opened(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot open {tmp_path}: ")
 
 
 def test_argparse_exit_code_on_unknown_command(capsys):
