@@ -270,12 +270,17 @@ def behavior_from_json_dict(doc: object) -> tuple[Behavior, str | None]:
 
 def load_behavior(path: str | Path) -> tuple[Behavior, str | None]:
     """Read a behavior JSON file; `SchemaError` on malformed content."""
-    text = Path(path).read_text(encoding="utf-8")
+    return behavior_from_json_dict(parse_json(Path(path).read_text(encoding="utf-8")))
+
+
+def parse_json(text: str) -> object:
+    """`json.loads`, with `SchemaError` at ``$`` for any malformed document."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", field_name="$") from exc
-    return behavior_from_json_dict(doc)
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SchemaError("not valid JSON: an integer has too many digits", field_name="$") from exc
 
 
 def save_behavior(b: Behavior, path: str | Path, label: str | None = None) -> None:

@@ -273,11 +273,10 @@ def hardy_check(b: Behavior, tol: float = DEFAULT_TOL) -> ViolationReport:
 
 def hardy_witness(b: Behavior, eps: float = 1e-6) -> tuple[HardyQuadruple, ...]:
     """Quadruples realizing the Hardy pattern: pk, pl, pm <= eps while pj > eps."""
-    found = []
-    for q in HARDY_QUADRUPLES:
-        if max(b.p(q.k), b.p(q.l), b.p(q.m)) <= eps and b.p(q.j) > eps:
-            found.append(q)
-    return tuple(found)
+    p = (None, *b.probs)  # 1-based, like the quadruple indices
+    return tuple(
+        q for q in HARDY_QUADRUPLES if max(p[q.k], p[q.l], p[q.m]) <= eps and p[q.j] > eps
+    )
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .behavior import (
     is_normalized,
     is_valid,
     load_behavior,
+    parse_json,
 )
 from .bell import (
     ch_values,
@@ -110,12 +111,9 @@ def _tolerance(text: str) -> float:
 def _load_config(path: str | None) -> OptimizerConfig:
     if path is None:
         return OptimizerConfig()
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}", field_name="$") from exc
-    try:
-        return OptimizerConfig.from_json_dict(doc)
+        return OptimizerConfig.from_json_dict(parse_json(text))
     except SchemaError as exc:
         raise SchemaError(f"bad optimizer config: {exc}", field_name=exc.field_name) from exc
 

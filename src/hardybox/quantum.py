@@ -18,13 +18,13 @@ derivatives in the search angles.  The searches:
   CHSH sum stays inside the classical bounds, i.e. the argument dies on the
   singlet.
 
-Both run `_extremize`: SLSQP descents (Kraft, DFVLR-FB 88-28 (1988)) with
-analytic gradients from the points of a Sobol sequence scrambled with a
-fixed seed, so results reproduce; the zeros are equality constraints on the
-cell amplitudes, smooth trig polynomials of the angles.  scipy supplies the
-solver (`minimize`) and the Sobol sequence; both are imported on the first
-search, so importing the package, and every command that does not search,
-runs without scipy.
+Both run `_extremize`: one SLSQP descent (Kraft, DFVLR-FB 88-28 (1988))
+with analytic gradients from each of a set of uniform random starts drawn by
+numpy's generator with a fixed seed, so results reproduce; the zeros are
+equality constraints on the cell amplitudes, smooth trig polynomials of the
+angles.  `scipy.optimize` supplies the solver (`minimize`) and is imported
+on the first search, so importing the package, and every command that does
+not search, runs without scipy.
 """
 
 from __future__ import annotations
@@ -211,12 +211,13 @@ MAX_STARTS = 4096
 class OptimizerConfig:
     """Knobs of the multi-start constrained search; bad values raise `SchemaError`.
 
-    ``starts`` points (1..`MAX_STARTS`) of a Sobol sequence scrambled with
-    ``seed`` each start one descent, which counts when its constrained cells
-    are at most ``constraint_tol``.  ``real_mode`` restricts amplitudes and
-    directions to the x-z plane (phases zero), which is enough for every
-    extremum this package targets and roughly halves the search dimension;
-    ``product_mode`` restricts the state to a tensor product.
+    ``starts`` uniform random points (1..`MAX_STARTS`), drawn by
+    ``numpy.random.default_rng(seed)``, each start one descent, which counts
+    when its constrained cells are at most ``constraint_tol``.
+    ``real_mode`` restricts amplitudes and directions to the x-z plane
+    (phases zero), which is enough for every extremum this package targets
+    and roughly halves the search dimension; ``product_mode`` restricts the
+    state to a tensor product.
     """
 
     starts: int = 64
@@ -336,17 +337,14 @@ class _SearchSpace:
         return state, MeasurementSettings(*(BlochDirection(*d) for d in self.directions_of(x)))
 
 
-def _sobol_starts(space: _SearchSpace, n: int, seed: int) -> np.ndarray:
-    """``n`` scrambled Sobol points: angles in [0, pi), phases and azimuths in [0, 2 pi)."""
-    from scipy.stats import qmc
-
+def _starts(space: _SearchSpace, n: int, seed: int) -> np.ndarray:
+    """``n`` uniform points: angles in [0, pi), phases and azimuths in [0, 2 pi)."""
     hi = np.full(space.dims, math.pi)
     if not space.real_mode:
         if space.n_state == 6:
             hi[3:6] = 2.0 * math.pi  # phase block
         hi[space.n_state + 1 :: 2] = 2.0 * math.pi  # azimuths
-    sampler = qmc.Sobol(d=space.dims, scramble=True, seed=seed)
-    return hi * sampler.random_base2(max(1, math.ceil(math.log2(n))))[:n]
+    return hi * np.random.default_rng(seed).random((n, space.dims))
 
 
 @dataclass(frozen=True)
@@ -375,11 +373,9 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-# SLSQP iteration cap and stopping tolerance of each descent; the winner is
-# descended once more at the tighter _POLISH_FTOL
+# SLSQP iteration cap and stopping tolerance of each descent
 _MAXITER = 100
 _FTOL = 1e-12
-_POLISH_FTOL = 1e-15
 
 
 def _extremize(
@@ -394,11 +390,11 @@ def _extremize(
 
     Zero amplitudes (real and, where complex, imaginary parts) are regular
     equality constraints; zero probabilities, whose gradient vanishes where
-    they hold, are not.  Of the SLSQP descents from the Sobol starts, those
-    that converge with every constrained cell within ``cfg.constraint_tol``
-    are ranked by (objective, start index); the winner is descended once
-    more.  Returns its state, settings, Born behavior and diagnostics, or
-    raises `ConvergenceError` if no descent qualifies.
+    they hold, are not.  One SLSQP descent runs from each start; those that
+    converge with every constrained cell within ``cfg.constraint_tol`` are
+    ranked by (objective, start index).  Returns the winner's state,
+    settings, Born behavior and diagnostics, or raises `ConvergenceError` if
+    no descent qualifies.
     """
     n_obj = len(objective_cells)
 
@@ -421,15 +417,15 @@ def _extremize(
         {"type": "eq", "fun": lambda x: zeros(x, 0), "jac": lambda x: zeros(x, 1)}
     ] if zero_cells else []
 
-    def descend(x0: np.ndarray, ftol: float) -> tuple[np.ndarray, float, float, bool]:
+    def descend(x0: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
         res = minimize(
             fun, x0, jac=True, method="SLSQP", constraints=constraints,
-            options={"maxiter": _MAXITER, "ftol": ftol},
+            options={"maxiter": _MAXITER, "ftol": _FTOL},
         )
         resid = float(np.max(np.abs(kernel(res.x.tobytes())[0][n_obj:]) ** 2, initial=0.0))
         return res.x, fun(res.x)[0], resid, bool(res.success) and resid <= cfg.constraint_tol
 
-    results = [descend(x0, _FTOL) for x0 in _sobol_starts(space, cfg.starts, cfg.seed)]
+    results = [descend(x0) for x0 in _starts(space, cfg.starts, cfg.seed)]
     feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
     if not feasible:
         raise ConvergenceError(
@@ -437,8 +433,7 @@ def _extremize(
             f"{cfg.constraint_tol:g} (smallest residual {min(r[2] for r in results):.3e})"
         )
     _, winner = min(feasible)
-    polished = descend(results[winner][0], _POLISH_FTOL)
-    x, _, resid, _ = polished if polished[3] else results[winner]
+    x, _, resid, _ = results[winner]
     state, settings = space.unpack(x)
     return state, settings, born_behavior(state, settings), SearchDiagnostics(
         starts_tried=cfg.starts,
@@ -574,9 +569,8 @@ def singlet_perfect_correlation_check(
     satisfy |Delta_i| <= 2 + 40*eps; the report carries the outcome.
     """
     b = born_behavior(singlet(), settings)
-    patterns = tuple(
-        q for q in HARDY_QUADRUPLES if max(b.p(q.k), b.p(q.l), b.p(q.m)) <= eps
-    )
+    p = (None, *b.probs)  # 1-based, like the quadruple indices
+    patterns = tuple(q for q in HARDY_QUADRUPLES if max(p[q.k], p[q.l], p[q.m]) <= eps)
     if not patterns:
         raise ValueError("no quadruple has its three bounding cells below eps")
     corr = correlation_vector(b).as_tuple()

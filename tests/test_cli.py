@@ -253,6 +253,24 @@ def test_path_that_cannot_be_opened(capsys, tmp_path, argv):
     assert err.startswith(f"cannot open {tmp_path}: ")
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check", "--input", "{path}"], '{"probs": [1' + "0" * 5000 + ", 0" * 15 + "]}"),
+        (["tsirelson", "--config", "{path}"], '{"starts": 1' + "0" * 5000 + "}"),
+    ],
+)
+def test_integer_past_digit_limit(capsys, tmp_path, argv, text):
+    # json.loads refuses such a literal with a plain ValueError, not JSONDecodeError
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error in ")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_argparse_exit_code_on_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

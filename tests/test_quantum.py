@@ -6,10 +6,15 @@ sharing no code with the implementation's eigenbasis path.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardybox
 from hardybox import quantum
 from hardybox.behavior import (
     SchemaError,
@@ -246,7 +251,7 @@ class TestOptimizerConfig:
         def no_draw(*args, **kwargs):
             raise AssertionError("a start was drawn")
 
-        monkeypatch.setattr(quantum, "_sobol_starts", no_draw)
+        monkeypatch.setattr(quantum, "_starts", no_draw)
         monkeypatch.setattr(quantum, "minimize", no_draw)
         assert OptimizerConfig(starts=MAX_STARTS).starts == MAX_STARTS
         with pytest.raises(SchemaError, match="starts"):
@@ -269,6 +274,65 @@ class TestConstants:
         assert SIGMA_QUANTUM_MAX == pytest.approx(2.0 + math.sqrt(2.0), abs=0.0)
         assert SIGMA_QUANTUM_MIN == pytest.approx(2.0 - math.sqrt(2.0), abs=0.0)
         assert SIGMA_QUANTUM_MAX + SIGMA_QUANTUM_MIN == pytest.approx(4.0, abs=1e-15)
+
+
+class TestStartsAndDescents:
+    # (real_mode, product_mode, fixed state, indices whose range is [0, 2 pi))
+    SPACES = [
+        (True, False, None, ()),
+        (False, False, None, (3, 4, 5, 7, 9, 11, 13)),
+        (True, True, None, ()),
+        (False, True, None, (5, 7, 9, 11)),
+        (True, False, singlet(), ()),
+    ]
+
+    @pytest.mark.parametrize("real_mode, product_mode, fixed, wide", SPACES)
+    def test_draw(self, real_mode, product_mode, fixed, wide):
+        space = _SearchSpace(real_mode, product_mode, fixed_state=fixed)
+        x = quantum._starts(space, 256, 20201)
+        assert x.shape == (256, space.dims)
+        hi = np.array([2.0 * math.pi if i in wide else math.pi for i in range(space.dims)])
+        assert np.all(x >= 0.0) and np.all(x < hi)
+        assert np.all(x.max(axis=0) > 0.9 * hi)  # each coordinate spans its range
+        # seeded, and a shorter draw is a prefix of a longer one
+        assert np.array_equal(x, quantum._starts(space, 256, 20201))
+        assert not np.array_equal(x, quantum._starts(space, 256, 20202))
+        for k in (1, 5, 255):
+            assert np.array_equal(quantum._starts(space, k, 20201), x[:k])
+
+    def test_one_descent_per_start(self, monkeypatch):
+        scipy_minimize = pytest.importorskip("scipy.optimize").minimize
+        x0s = []
+
+        def counting(fun, x0, *args, **kwargs):
+            x0s.append(np.array(x0))
+            return scipy_minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(quantum, "minimize", counting)
+        opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
+        assert len(x0s) == SMALL_CFG.starts == opt.diagnostics.starts_tried
+        space = _SearchSpace(SMALL_CFG.real_mode, SMALL_CFG.product_mode)
+        assert np.array_equal(x0s, quantum._starts(space, SMALL_CFG.starts, SMALL_CFG.seed))
+
+    def test_search_imports_no_scipy_stats(self):
+        src = str(Path(hardybox.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            "from hardybox.quantum import OptimizerConfig, maximize_sigma\n"
+            "maximize_sigma(1, OptimizerConfig(starts=2))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "True"]
 
 
 class TestHardySearch:
