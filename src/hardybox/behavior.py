@@ -270,13 +270,15 @@ def behavior_from_json_dict(doc: object) -> tuple[Behavior, str | None]:
 
 def load_behavior(path: str | Path) -> tuple[Behavior, str | None]:
     """Read a behavior JSON file; `SchemaError` on malformed content."""
-    return behavior_from_json_dict(parse_json(Path(path).read_text(encoding="utf-8")))
+    return behavior_from_json_dict(parse_json(Path(path).read_bytes()))
 
 
-def parse_json(text: str) -> object:
-    """`json.loads`, with `SchemaError` at ``$`` for any malformed document."""
+def parse_json(data: bytes) -> object:
+    """Decode UTF-8 JSON, with `SchemaError` at ``$`` for any malformed document."""
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}", field_name="$") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", field_name="$") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit

@@ -111,9 +111,9 @@ def _tolerance(text: str) -> float:
 def _load_config(path: str | None) -> OptimizerConfig:
     if path is None:
         return OptimizerConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        return OptimizerConfig.from_json_dict(parse_json(text))
+        return OptimizerConfig.from_json_dict(parse_json(data))
     except SchemaError as exc:
         raise SchemaError(f"bad optimizer config: {exc}", field_name=exc.field_name) from exc
 

@@ -12,12 +12,25 @@ and discarding the remainder word by word.
 `simulate` draws in ``max(n_shards, ceil(n / 2**18))`` consecutive pieces of
 near-equal size, but never more than ``n``: shards beyond ``n`` would be
 empty, and pieces of at most 2**18 trials keep the sort's index buffers
-small.  It keeps a running count of the doubles each block has used, so
-finding every piece's starting points costs O(n) in all.  Within a piece a
-stable sort of the block ids (a radix sort of bytes) groups each block's
-trials; one call draws their doubles, three comparisons with the block's
-cumulative probabilities give each outcome pair as one byte, and a scatter
+small.  The settings doubles are drawn in pieces of 2**18 too, straight
+into one byte of block id per trial.  `simulate` keeps a running count of
+the doubles each block has used, so finding every piece's starting points
+costs O(n) in all.  Within a piece a stable sort of the block ids (a radix
+sort of bytes) groups each block's trials; one call draws their doubles,
+three comparisons with the block's cumulative probabilities give each
+trial's code ``4 * block + outcome pair`` as one byte, and a scatter
 through the sort order puts the bytes back in trial order.
+
+A trial log on disk is CSV: the header ``settingA,settingB,outcomeA,
+outcomeB`` and one row per trial such as ``2,1,+1,-1``, every line ended
+by ``\\r\\n`` (what `csv.writer` writes).  A trial has only 16 possible
+rows, 11 bytes each, so `TrialLog.to_csv` writes them from a 16-row byte
+table indexed by the trial's code, 2**18 trials at a time.
+`TrialLog.from_csv` reads the file's bytes; when they are exactly the
+header and whole table rows it decodes them as an ``(n, 11)`` byte array.
+Any other file (``\\n`` line ends, unsigned or padded or quoted fields, a
+bad row or value) is parsed row by row with `csv.reader`, which is also
+where every error message about a file's content comes from.
 
 Estimation keeps per-block counts and reports Wilson-centered standard
 errors (never zero for a nonempty block, so degenerate frequencies at 0 or
@@ -32,6 +45,7 @@ tails come from the standard library (`statistics.NormalDist`,
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,13 +58,24 @@ from .behavior import SIGNALING_ROWS, Behavior, Party, is_valid
 from .bell import HardyQuadruple
 
 _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
+_CSV_HEAD = ",".join(_CSV_HEADER).encode() + b"\r\n"
+#: the 16 rows `csv.writer` makes of a trial, 11 bytes each, indexed by the
+#: trial's code 4 * block + outcome pair
+_CSV_ROWS = np.array(
+    [
+        f"{1 + c // 8},{1 + c // 4 % 2},{'+-'[c // 2 % 2]}1,{'+-'[c % 2]}1\r\n".encode()
+        for c in range(16)
+    ],
+    dtype="S11",
+)
 
 #: substream holding the settings sequence; 0..3 are the setting blocks.
 SETTINGS_SUBSTREAM = 4
 
 #: most trials `simulate` accepts.  Simulating and estimating peak at about
-#: 9 bytes per trial (tracemalloc: 9.0 at 4M and 20M trials; at 1M, 10.8 with
-#: 1 shard and 9.0 with 16), so a run at the cap stays under about 600 MB.
+#: 6 bytes per trial, 4 of them the log itself (tracemalloc: 6.1 at 20M
+#: trials, 6.7 with 16 shards and 6.9 with 1 at 4M), so a run at the cap
+#: stays under about 400 MB.
 MAX_TRIALS = 60_000_000
 
 #: most trials `simulate` draws and `estimate` tabulates in one piece; bounds
@@ -98,9 +123,14 @@ def settings_sequence(n: int, seed: int, policy: str = "uniform") -> np.ndarray:
     _check_n(n)
     _check_seed(seed)
     if policy == "uniform":
-        u = block_rng(seed, SETTINGS_SUBSTREAM).random(n)
-        u *= 4.0
-        return u.astype(np.uint8)
+        # in pieces, so the doubles never take more than O(_PIECE) memory
+        rng = block_rng(seed, SETTINGS_SUBSTREAM)
+        ids = np.empty(n, dtype=np.uint8)
+        for i in range(0, n, _PIECE):
+            u = rng.random(min(_PIECE, n - i))
+            u *= 4.0
+            ids[i : i + len(u)] = u  # the cast truncates 4u to the block id
+        return ids
     if policy == "roundrobin":
         return np.resize(np.arange(4, dtype=np.uint8), n)
     raise ValueError(f"unknown settings policy {policy!r}")
@@ -117,21 +147,18 @@ def _column(name: str, values, dtype: type) -> np.ndarray:
     """One validated log column: settings 1, 2 as uint8, outcomes -1, +1 as int8.
 
     Values are checked in their own integer type before the narrowing cast,
-    so nothing out of range can wrap into range.  ``x - 1`` read as unsigned
-    is at most 1 exactly for x in {1, 2}; ``|x| == 1`` exactly for x = +-1.
+    so nothing out of range can wrap into range.  The check is three
+    reductions (min, max, nonzero count), so it allocates nothing.
     """
     x = np.asarray(values)
     if x.dtype.kind not in "iu":
         if x.size:
             raise ValueError(f"{name} must hold integers, got dtype {x.dtype}")
         return x.astype(dtype)
-    if dtype is np.uint8:
-        ok, allowed = (x - 1).view(f"u{x.itemsize}") <= 1, (1, 2)
-    else:
-        ok, allowed = np.abs(x) == 1, (-1, 1)
-    if not ok.all():
-        row = int(np.argmin(ok))
-        raise ValueError(f"{name} holds {x[row]} at row {row}, outside {allowed}")
+    lo, hi = (1, 2) if dtype is np.uint8 else (-1, 1)
+    if x.size and not (lo <= x.min() and x.max() <= hi and np.count_nonzero(x) == x.size):
+        row = int(np.argmax((x < lo) | (x > hi) | (x == 0)))
+        raise ValueError(f"{name} holds {x[row]} at row {row}, outside {(lo, hi)}")
     return x.astype(dtype, copy=False)
 
 
@@ -217,38 +244,91 @@ class TrialLog(Sequence[TrialRecord]):
         return ((self.settings_a - 1) * 2 + (self.settings_b - 1)).astype(np.uint8)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_CSV_HEADER)
-            for i in range(len(self)):
-                w.writerow(
-                    [
-                        int(self.settings_a[i]),
-                        int(self.settings_b[i]),
-                        f"{int(self.outcomes_a[i]):+d}",
-                        f"{int(self.outcomes_b[i]):+d}",
-                    ]
-                )
+        """Write the header and one row per trial, such as ``2,1,+1,-1\\r\\n``."""
+        with open(path, "wb") as fh:
+            fh.write(_CSV_HEAD)
+            for code in _trial_codes(self):
+                fh.write(_CSV_ROWS[code])
 
     @staticmethod
     def from_csv(path: str | Path) -> "TrialLog":
-        """Read a log written by `to_csv`.
+        """Read a log written by `to_csv`, or any CSV file with its columns.
 
-        A row without exactly four integer fields raises a ValueError with
-        its 1-based line number; an out-of-range value one naming its column
-        and row (row i is on line i + 2).
+        A file of exactly `to_csv`'s bytes is decoded as a table; any other
+        goes through `csv.reader`.  There a row without exactly four integer
+        fields raises a ValueError with its 1-based line number; an
+        out-of-range value one naming its column and row (row i is on line
+        i + 2).
         """
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r, None)
-            if header != _CSV_HEADER:
-                raise ValueError(f"bad header {header!r}, expected {_CSV_HEADER!r}")
-            try:
-                rows = [(int(sa), int(sb), int(oa), int(ob)) for sa, sb, oa, ob in r]
-            except ValueError as exc:
-                msg = f"line {r.line_num}: expected four integer fields ({exc})"
-                raise ValueError(msg) from None
-        return TrialLog.from_records(rows)
+        data = Path(path).read_bytes()
+        log = _decode_table(data)
+        if log is not None:
+            return log
+        return _read_csv(io.TextIOWrapper(io.BytesIO(data), newline=""))
+
+
+def _trial_codes(log: TrialLog) -> Iterator[np.ndarray]:
+    """Each trial as one byte, 4 * block + outcome pair, in pieces of `_PIECE`."""
+    columns = (log.settings_a, log.settings_b, log.outcomes_a, log.outcomes_b)
+    for i in range(0, len(log), _PIECE):
+        sa, sb, oa, ob = (c[i : i + _PIECE] for c in columns)
+        code = (sa << 3) + (sb << 2)
+        code -= 12
+        code += (oa < 0).view(np.uint8) << 1
+        code += (ob < 0).view(np.uint8)
+        yield code
+
+
+def _log_of_codes(code: np.ndarray) -> TrialLog:
+    """The log whose trials have the uint8 codes 4 * block + outcome pair."""
+    # each column is one shift of the code, finished in place; outcomes are
+    # 1 - 2 * bit in int8: +1 for a clear bit, -1 for a set one
+    sa, sb = code >> 3, code >> 2
+    oa, ob = (code >> 1).view(np.int8), (code & 1).view(np.int8)
+    sb &= 1
+    oa &= 1
+    sa += 1
+    sb += 1
+    oa *= -2
+    oa += 1
+    ob *= -2
+    ob += 1
+    return TrialLog(sa, sb, oa, ob)
+
+
+def _decode_table(data: bytes) -> TrialLog | None:
+    """The log of a file that is the header and rows of `_CSV_ROWS`, else None."""
+    width = _CSV_ROWS.itemsize
+    if (len(data) - len(_CSV_HEAD)) % width or not data.startswith(_CSV_HEAD):
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, offset=len(_CSV_HEAD)).reshape(-1, width)
+    code = np.empty(len(rows), dtype=np.uint8)
+    for i in range(0, len(rows), _PIECE):
+        r = rows[i : i + _PIECE]
+        # one bit of each variable byte tells '2' from '1' (bit 1) or '-'
+        # from '+' (bit 2); together they name the one table row r may be
+        c = (r[:, 0] & 2) << 2
+        c |= (r[:, 2] & 2) << 1
+        c |= (r[:, 4] & 4) >> 1
+        c |= (r[:, 7] & 4) >> 2
+        if not np.array_equal(_CSV_ROWS[c].view(np.uint8), r.ravel()):
+            return None
+        code[i : i + len(r)] = c
+    return _log_of_codes(code)
+
+
+def _read_csv(fh: io.TextIOBase) -> TrialLog:
+    """Parse a CSV trial log of any dialect `csv.reader` reads, row by row."""
+    r = csv.reader(fh)
+    header = next(r, None)
+    if header != _CSV_HEADER:
+        raise ValueError(f"bad header {header!r}, expected {_CSV_HEADER!r}")
+    try:
+        rows = [(int(sa), int(sb), int(oa), int(ob)) for sa, sb, oa, ob in r]
+    except ValueError as exc:
+        msg = f"line {r.line_num}: expected four integer fields ({exc})"
+        raise ValueError(msg) from None
+    return TrialLog.from_records(rows)
 
 
 def simulate(
@@ -277,7 +357,8 @@ def simulate(
     ids = settings_sequence(n, seed, policy)
     # a double u gives outcome pair 2 * (A gave -1) + (B gave -1): the number
     # of the block's first three cumulative probabilities at or below u (the
-    # fourth is 1 > u), which is what searchsorted(side="right") would return
+    # fourth is 1 > u), which is what searchsorted(side="right") would return;
+    # the trial's code is 4 * block + that pair
     block_cuts: list[np.ndarray | None] = []
     for j in (1, 2):
         for k in (1, 2):
@@ -307,16 +388,11 @@ def simulate(
             np.greater_equal(u, cuts[0], out=out.view(bool))
             out += (u >= cuts[1]).view(np.uint8)
             out += (u >= cuts[2]).view(np.uint8)
+            out += 4 * g
             drawn[g] += m
             pos += m
         code[start:end][order] = code_sorted
-    # 1 - 2 * bit in int8: +1 for a clear bit, -1 for a set one
-    return TrialLog(
-        1 + (ids >> 1),
-        1 + (ids & 1),
-        1 - 2 * (code >> 1).view(np.int8),
-        1 - 2 * (code & 1).view(np.int8),
-    )
+    return _log_of_codes(code)
 
 
 def _wilson_stderr(x: np.ndarray, n: int) -> np.ndarray:
@@ -383,16 +459,10 @@ class SampleStats:
 
 def estimate(log: TrialLog) -> SampleStats:
     """Tabulate a trial log into per-cell statistics."""
-    columns = (log.settings_a, log.settings_b, log.outcomes_a, log.outcomes_b)
-    flat = np.zeros(28, dtype=np.int64)
-    for i in range(0, len(log), _PIECE):
-        sa, sb, oa, ob = (c[i : i + _PIECE] for c in columns)
-        # one byte per trial: 12 + 4 * block + outcome pair, so 12..27
-        code = (sa << 3) + (sb << 2)
-        code += (oa < 0).view(np.uint8) << 1
-        code += (ob < 0).view(np.uint8)
-        flat += np.bincount(code, minlength=28)
-    return SampleStats.from_counts(flat[12:].reshape(4, 4))
+    flat = np.zeros(16, dtype=np.int64)
+    for code in _trial_codes(log):
+        flat += np.bincount(code, minlength=16)
+    return SampleStats.from_counts(flat.reshape(4, 4))
 
 
 @dataclass(frozen=True)

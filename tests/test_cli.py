@@ -271,6 +271,19 @@ def test_integer_past_digit_limit(capsys, tmp_path, argv, text):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["check", "--input", "{path}"], ["tsirelson", "--config", "{path}"]]
+)
+def test_not_utf8_names_root(capsys, tmp_path, argv):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'\xff\xfe{"probs": []}')
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error in $: ")
+    assert "not valid UTF-8" in err
+
+
 def test_argparse_exit_code_on_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

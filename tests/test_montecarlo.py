@@ -4,12 +4,17 @@ The pinned stream vectors freeze the exact Philox keying and word layout;
 any change to the substream scheme or the skip rule breaks them.
 """
 
+import csv
 import hashlib
+import io
 import math
+import tempfile
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -566,3 +571,150 @@ class TestHelperValidation:
         assert len(simulate(mermin_box(), 0, seed=4, n_shards=10**7)) == 0
         assert time.perf_counter() - start < 0.5
         assert simulate(mermin_box(), 37, seed=4, n_shards=37) == base
+
+
+def _log_with_codes(codes) -> TrialLog:
+    """The log whose trials have the codes 4 * block + outcome pair."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return TrialLog(
+        1 + codes // 8, 1 + codes // 4 % 2, 1 - 2 * (codes // 2 % 2), 1 - 2 * (codes % 2)
+    )
+
+
+def _csv_writer_bytes(log: TrialLog) -> bytes:
+    """What `csv.writer` writes for a log: the reference for `to_csv`."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["settingA", "settingB", "outcomeA", "outcomeB"])
+    for sa, sb, oa, ob in log:
+        w.writerow([sa, sb, f"{oa:+d}", f"{ob:+d}"])
+    return out.getvalue().encode()
+
+
+def _reference_from_csv(path) -> TrialLog:
+    """The row-by-row `csv.reader` parse: the reference `from_csv` must match."""
+    header_want = ["settingA", "settingB", "outcomeA", "outcomeB"]
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r, None)
+        if header != header_want:
+            raise ValueError(f"bad header {header!r}, expected {header_want!r}")
+        try:
+            rows = [(int(sa), int(sb), int(oa), int(ob)) for sa, sb, oa, ob in r]
+        except ValueError as exc:
+            msg = f"line {r.line_num}: expected four integer fields ({exc})"
+            raise ValueError(msg) from None
+    return TrialLog.from_records(rows)
+
+
+def _outcome(read, path):
+    """The log a reader returns, or the type and text of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def _general_reads():
+    """Records the files `from_csv` hands to the row-by-row `csv.reader` path."""
+    return mock.patch.object(montecarlo, "_read_csv", wraps=montecarlo._read_csv)
+
+
+class TestCsvTable:
+    """`to_csv` writes the 16-row byte table; `from_csv` decodes it, or parses."""
+
+    def test_to_csv_matches_csv_writer(self, tmp_path):
+        log = simulate(mermin_box(), 2000, seed=9)
+        path = tmp_path / "trials.csv"
+        log.to_csv(path)
+        assert path.read_bytes() == _csv_writer_bytes(log)
+        every = _log_with_codes(range(16))
+        every.to_csv(path)
+        assert path.read_bytes() == _csv_writer_bytes(every)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.one_of(
+            st.just(0),
+            st.just(1),
+            st.integers(2, 500),
+            st.integers(montecarlo._PIECE + 1, montecarlo._PIECE + 40),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip(self, n, seed):
+        codes = np.random.default_rng(seed).integers(0, 16, size=n).astype(np.uint8)
+        log = _log_with_codes(codes)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trials.csv"
+            log.to_csv(path)
+            assert path.stat().st_size == 37 + 11 * n
+            with _general_reads() as general:
+                back = TrialLog.from_csv(path)
+        assert back == log
+        assert [c.dtype for c in (back.settings_a, back.outcomes_b)] == [np.uint8, np.int8]
+        assert general.call_count == 0  # a file `to_csv` wrote is decoded as a table
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "settingA,settingB,outcomeA,outcomeB\n1,2,+1,-1\n2,1,-1,+1\n",
+            "settingA,settingB,outcomeA,outcomeB\r\n1,2,1,-1\r\n2,1,-1,1\r\n",
+            "settingA,settingB,outcomeA,outcomeB\r\n1, 2,+1 ,-1\r\n 2,1,-1,+1\r\n",
+            'settingA,settingB,outcomeA,outcomeB\r\n"1",2,"+1",-1\r\n2,"1",-1,+1\r\n',
+            '"settingA","settingB","outcomeA","outcomeB"\r\n1,2,+1,-1\r\n2,1,-1,+1\r\n',
+            "settingA,settingB,outcomeA,outcomeB\r\n1,2,+1,-1\r\n2,1,-1,+1",
+            "settingA,settingB,outcomeA,outcomeB\r\n1,2,+1,-1\r\n2,1,-1,+01\r\n",
+        ],
+        ids=["lf", "unsigned", "padded", "quoted", "quoted-header", "no-final-eol", "zero-pad"],
+    )
+    def test_non_canonical_files_load_through_csv_reader(self, tmp_path, text):
+        path = tmp_path / "trials.csv"
+        path.write_bytes(text.encode())
+        want = TrialLog.from_records([(1, 2, 1, -1), (2, 1, -1, 1)])
+        with _general_reads() as general:
+            assert TrialLog.from_csv(path) == want
+        assert general.call_count == 1
+
+    def test_one_corrupted_byte_reads_as_before(self, tmp_path):
+        # every single-byte substitution in a canonical file is read exactly
+        # as the row-by-row parse reads it: the same log or the same error
+        log = _log_with_codes([0, 6, 9, 15])
+        base = _csv_writer_bytes(log)
+        path = tmp_path / "trials.csv"
+        replacements = b"0123+-, \"\r\nx\x00\xff"
+        cases = 0
+        for pos in range(len(base)):
+            for byte in replacements:
+                if byte == base[pos]:
+                    continue
+                data = base[:pos] + bytes([byte]) + base[pos + 1 :]
+                path.write_bytes(data)
+                with _general_reads() as general:
+                    got = _outcome(TrialLog.from_csv, path)
+                want = _outcome(_reference_from_csv, path)
+                assert got == want, (pos, byte)
+                canonical = isinstance(want, TrialLog) and _csv_writer_bytes(want) == data
+                assert general.call_count == (0 if canonical else 1), (pos, byte)
+                cases += 1
+        assert cases > 1000
+
+    def test_writing_takes_memory_of_one_piece(self, tmp_path):
+        n = 8 * montecarlo._PIECE
+        log = _log_with_codes(np.arange(n, dtype=np.uint8) % 16)
+        path = tmp_path / "trials.csv"
+        tracemalloc.start()
+        try:
+            log.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 37 + 11 * n
+        # a row table of the whole log would take 11 * n bytes
+        assert peak < 24 * montecarlo._PIECE
+
+
+def test_settings_drawn_in_pieces_match_one_draw():
+    n, seed = 2 * montecarlo._PIECE + 7, 31
+    whole = block_rng(seed, SETTINGS_SUBSTREAM).random(n) * 4.0
+    assert np.array_equal(settings_sequence(n, seed), whole.astype(np.uint8))
