@@ -279,6 +279,28 @@ def nonneg_side_checks(b: Behavior, tol: float = DEFAULT_TOL) -> tuple[SideCheck
     )
 
 
+def _affine_completion(variant: FreeSetId) -> tuple[np.ndarray, np.ndarray]:
+    # cells = const + free @ m, read off the sign table: a free cell copies
+    # its value, a solved cell is 1/2 plus half its signed free sum
+    const = np.zeros(16)
+    m = np.zeros((8, 16))
+    m[range(8), [c - 1 for c in variant.free_cells]] = 1.0
+    for cell, signs in _COMPLETIONS[variant].items():
+        const[cell - 1] = 0.5
+        m[:, cell - 1] = np.array(signs) / 2.0
+    return const, m
+
+
+_AFFINE: dict[FreeSetId, tuple[np.ndarray, np.ndarray]] = {
+    v: _affine_completion(v) for v in FreeSetId
+}
+#: candidates screened per matrix product in `random_no_signaling_behavior`
+_SCREEN_BLOCK = 256
+#: screen margin; far above the rounding of the product (below 1e-15), so no
+#: candidate the exact test would accept is screened out
+_SCREEN_MARGIN = 1e-12
+
+
 def random_no_signaling_behavior(
     rng: np.random.Generator,
     variant: FreeSetId = FreeSetId.S1,
@@ -286,11 +308,41 @@ def random_no_signaling_behavior(
 ) -> Behavior:
     """Rejection-sample a valid normalized no-signaling behavior.
 
-    Draws the eight free cells uniformly from [0, 1] and keeps the completion
-    when all sixteen entries are probabilities.
+    Draws the eight free cells uniformly from [0, 1] and keeps the first
+    completion whose sixteen entries are all probabilities; ``max_tries``
+    (an integer >= 1) counts these candidates.  Candidates are screened 256
+    at a time with one matrix product, and only those the screen passes go
+    through `complete_from_free_set` and the exact test.  The generator is
+    then rewound to its saved ``rng.bit_generator.state`` and
+    ``rng.uniform`` redraws exactly the eight doubles of each candidate
+    tried.  So the sample and the generator state afterwards are those of
+    drawing and testing one candidate at a time, also when no candidate
+    passes.  ``rng`` needs ``bit_generator`` and ``uniform`` like a numpy
+    ``Generator``.
     """
-    for _ in range(max_tries):
-        candidate = complete_from_free_set(rng.uniform(0.0, 1.0, size=8), variant)
-        if all(0.0 <= x <= 1.0 for x in candidate.probs):
-            return candidate
-    raise RuntimeError(f"no valid completion found in {max_tries} draws")
+    if not isinstance(max_tries, (int, np.integer)) or isinstance(max_tries, bool) or max_tries < 1:
+        raise ValueError(f"max_tries must be an integer >= 1, got {max_tries!r}")
+    # the screen draws through a plain Generator on the same bit generator;
+    # after the rewind, the caller's ``rng`` has drawn just the candidates tried
+    bit_generator = rng.bit_generator
+    saved = bit_generator.state
+    screen = np.random.Generator(bit_generator)
+    const, m = _AFFINE[variant]
+    tried, found = 0, None
+    while found is None and tried < max_tries:
+        free = screen.random((min(_SCREEN_BLOCK, max_tries - tried), 8))
+        cells = free @ m + const
+        inside = ((cells >= -_SCREEN_MARGIN) & (cells <= 1.0 + _SCREEN_MARGIN)).all(axis=1)
+        for row in np.flatnonzero(inside):
+            candidate = complete_from_free_set(free[row], variant)
+            if all(0.0 <= x <= 1.0 for x in candidate.probs):
+                found = candidate
+                tried += int(row) + 1
+                break
+        else:
+            tried += len(free)
+    bit_generator.state = saved
+    rng.uniform(0.0, 1.0, size=(tried, 8))
+    if found is None:
+        raise RuntimeError(f"no valid completion found in {max_tries} draws")
+    return found

@@ -97,20 +97,41 @@ def _check_seed(seed: object) -> None:
         raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
 
 
-def block_rng(seed: int, substream: int, skip: int = 0) -> np.random.Generator:
-    """Generator for one substream, positioned after ``skip`` double draws.
+def _seek(bg: np.random.Philox, seed: int, substream: int, skip: int = 0) -> np.random.Philox:
+    """Re-key ``bg`` to ``(seed, substream)`` and skip ``skip`` doubles.
 
-    Philox advances in 4-word counter blocks; a double consumes one 64-bit
-    word, so skipping means advancing ``skip // 4`` blocks and discarding
-    ``skip % 4`` raw words.  ``seed`` is checked like `simulate`'s.
+    Afterwards ``bg`` stands where a new ``Philox(key=[seed, substream])``
+    stands after ``skip`` doubles; re-keying through ``state`` costs about a
+    fifth of building a Philox, which seeds a `SeedSequence` first.  Philox
+    advances in 4-word counter blocks; a double consumes one 64-bit word, so
+    skipping means advancing ``skip // 4`` blocks and discarding ``skip % 4``
+    raw words.
     """
-    _check_seed(seed)
-    bg = np.random.Philox(key=np.array([seed, substream], dtype=np.uint64))
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, substream], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     if skip:
         bg.advance(skip // 4)
         if skip % 4:
             bg.random_raw(skip % 4)
-    return np.random.Generator(bg)
+    return bg
+
+
+def block_rng(seed: int, substream: int, skip: int = 0) -> np.random.Generator:
+    """A new Generator for one substream, positioned after ``skip`` double draws.
+
+    ``seed`` is checked like `simulate`'s.
+    """
+    _check_seed(seed)
+    return np.random.Generator(_seek(np.random.Philox(0), seed, substream, skip))
 
 
 def settings_sequence(n: int, seed: int, policy: str = "uniform") -> np.ndarray:
@@ -122,9 +143,13 @@ def settings_sequence(n: int, seed: int, policy: str = "uniform") -> np.ndarray:
     """
     _check_n(n)
     _check_seed(seed)
+    return _settings_ids(block_rng(seed, SETTINGS_SUBSTREAM), n, policy)
+
+
+def _settings_ids(rng: np.random.Generator, n: int, policy: str) -> np.ndarray:
+    # ``rng`` stands at the start of the settings substream
     if policy == "uniform":
         # in pieces, so the doubles never take more than O(_PIECE) memory
-        rng = block_rng(seed, SETTINGS_SUBSTREAM)
         ids = np.empty(n, dtype=np.uint8)
         for i in range(0, n, _PIECE):
             u = rng.random(min(_PIECE, n - i))
@@ -354,7 +379,10 @@ def simulate(
         raise ValueError("behavior cells must lie in [0, 1]")
     if not _is_int(n_shards) or n_shards < 1:
         raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
-    ids = settings_sequence(n, seed, policy)
+    # one Philox for the whole call: it draws the settings, then is re-keyed
+    # to each block's substream in turn
+    rng = block_rng(seed, SETTINGS_SUBSTREAM)
+    ids = _settings_ids(rng, n, policy)
     # a double u gives outcome pair 2 * (A gave -1) + (B gave -1): the number
     # of the block's first three cumulative probabilities at or below u (the
     # fourth is 1 > u), which is what searchsorted(side="right") would return;
@@ -383,7 +411,8 @@ def simulate(
             if cuts is None:
                 j, k = 1 + g // 2, 1 + g % 2
                 raise ValueError(f"block ({j},{k}) has zero total probability")
-            u = block_rng(seed, g, skip=drawn[g]).random(m)
+            _seek(rng.bit_generator, seed, g, skip=drawn[g])
+            u = rng.random(m)
             out = code_sorted[pos : pos + m]
             np.greater_equal(u, cuts[0], out=out.view(bool))
             out += (u >= cuts[1]).view(np.uint8)

@@ -247,3 +247,105 @@ class TestRandomNoSignaling:
         a = random_no_signaling_behavior(np.random.default_rng(11))
         b = random_no_signaling_behavior(np.random.default_rng(11))
         assert a == b
+
+
+def loop_sampler(rng, variant=FreeSetId.S1, max_tries=100000):
+    """The one-candidate-at-a-time rejection loop the sampler must reproduce."""
+    for _ in range(max_tries):
+        candidate = complete_from_free_set(rng.uniform(0.0, 1.0, size=8), variant)
+        if all(0.0 <= x <= 1.0 for x in candidate.probs):
+            return candidate
+    raise RuntimeError(f"no valid completion found in {max_tries} draws")
+
+
+def generator_state(rng) -> dict:
+    """The bit generator's state with arrays as lists, so states compare with ==."""
+
+    def plain(d):
+        return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in d.items()}
+
+    return plain(rng.bit_generator.state)
+
+
+class CountingRng:
+    """A duck-typed generator: counts the candidate rows drawn through it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.rows = 0
+
+    def uniform(self, *args, **kwargs):
+        out = self._rng.uniform(*args, **kwargs)
+        self.rows += out.size // 8
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def outcome(sampler, rng, variant, max_tries):
+    try:
+        return sampler(rng, variant, max_tries)
+    except RuntimeError as err:
+        return str(err)
+
+
+#: generators for the stream tests; the later seeds' first S1 sample is the
+#: 256th, 257th or 512th candidate, so it ends or follows a screened block
+STREAM_CASES = [(np.random.PCG64, s) for s in (0, 1, 2, 3, 343, 1418, 1665)] + [
+    (np.random.Philox, s) for s in (0, 1, 2, 3, 274, 726, 1043)
+]
+
+
+def candidates_tried(bit_generator, seed, variant, calls, max_tries=100000):
+    """Candidates the loop tries in its ``calls``-th call, and that call's outcome."""
+    rng = CountingRng(np.random.Generator(bit_generator(seed)))
+    for _ in range(calls):
+        before = rng.rows
+        result = outcome(loop_sampler, rng, variant, max_tries)
+    return rng.rows - before, result
+
+
+class TestSamplerStream:
+    """The block-screened sampler returns the loop's boxes and leaves the
+    generator in the loop's state, call after call."""
+
+    @pytest.mark.parametrize("bit_generator, seed", STREAM_CASES)
+    @pytest.mark.parametrize("max_tries", [100000, 300, 5])
+    def test_identical_to_loop(self, bit_generator, seed, max_tries):
+        for v in ALL_VARIANTS:
+            ref = CountingRng(np.random.Generator(bit_generator(seed)))
+            got = CountingRng(np.random.Generator(bit_generator(seed)))
+            for _ in range(3):
+                want = outcome(loop_sampler, ref, v, max_tries)
+                assert outcome(random_no_signaling_behavior, got, v, max_tries) == want
+                assert generator_state(got) == generator_state(ref)
+                assert got.rows == ref.rows
+
+    def test_cases_cover_block_edges_and_failures(self):
+        pcg, philox, s1 = np.random.PCG64, np.random.Philox, FreeSetId.S1
+        assert candidates_tried(pcg, 1418, s1, 1)[0] == 256
+        assert candidates_tried(pcg, 343, s1, 1)[0] == 257
+        assert candidates_tried(pcg, 1665, s1, 1)[0] == 512
+        assert candidates_tried(philox, 1043, s1, 1)[0] == 256
+        assert candidates_tried(philox, 274, s1, 1)[0] == 257
+        assert candidates_tried(philox, 726, s1, 1)[0] == 512
+        assert candidates_tried(pcg, 0, s1, 2)[0] == 736
+        # failures after one full and one truncated block; a success after two
+        assert candidates_tried(pcg, 0, s1, 2, 300) == (300, "no valid completion found in 300 draws")
+        assert candidates_tried(philox, 0, s1, 3, 300)[0] == 33
+        assert candidates_tried(philox, 0, s1, 1, 5)[1] == "no valid completion found in 5 draws"
+
+    @pytest.mark.parametrize("max_tries", [2.5, 0, -1, True, "3", None])
+    def test_bad_max_tries_rejected_before_drawing(self, max_tries):
+        rng = np.random.default_rng(0)
+        before = generator_state(rng)
+        with pytest.raises(ValueError, match="^max_tries"):
+            random_no_signaling_behavior(rng, FreeSetId.S1, max_tries)
+        assert generator_state(rng) == before
+
+    def test_numpy_integer_max_tries(self):
+        want = loop_sampler(np.random.default_rng(4), FreeSetId.S2, 1000)
+        got = random_no_signaling_behavior(np.random.default_rng(4), FreeSetId.S2, np.int64(1000))
+        assert got == want
+
