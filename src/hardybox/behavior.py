@@ -248,15 +248,19 @@ def behavior_from_json_dict(doc: object) -> tuple[Behavior, str | None]:
     if not isinstance(probs, list) or len(probs) != 16:
         raise SchemaError("'probs' must be an array of 16 numbers", field_name="probs")
     for i, x in enumerate(probs):
+        # every quantity `check` prints sums at most 16 cells with coefficients
+        # of magnitude at most 1, so cells bounded by 1e300 keep them finite
         try:
-            finite = not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+            number = not isinstance(x, bool) and isinstance(x, (int, float))
+            finite = number and math.isfinite(x) and abs(x) <= 1e300
         except OverflowError:  # JSON integers are unbounded
             raise SchemaError(
                 f"'probs[{i}]' is an integer too large for a float", field_name=f"probs[{i}]"
             ) from None
         if not finite:
             raise SchemaError(
-                f"'probs[{i}]' must be a finite number, got {x!r}", field_name=f"probs[{i}]"
+                f"'probs[{i}]' must be a finite number of magnitude at most 1e300, got {x!r}",
+                field_name=f"probs[{i}]",
             )
     label = doc.get("label")
     if label is not None and not isinstance(label, str):

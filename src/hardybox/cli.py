@@ -70,8 +70,8 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _emit(doc: object) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # serialized whole before anything is written; NaN and infinity are errors
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     sys.stdout.flush()  # a closed pipe surfaces here, inside `main`
 
 

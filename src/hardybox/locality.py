@@ -201,8 +201,11 @@ def completion_roundtrip(b: Behavior, variant: FreeSetId, tol: float = DEFAULT_T
         raise ValueError(
             f"behavior violates the constraint system (max residual {residual:.3e} > {tol:.1e})"
         )
-    once = complete_from_free_set(free_values_of(b, variant), variant)
-    return complete_from_free_set(free_values_of(once, variant.inverse), variant.inverse)
+    cells = np.asarray(b.probs)
+    for v in (variant, variant.inverse):  # each completion one product with its table
+        const, m = _AFFINE[v]
+        cells = const + cells[[c - 1 for c in v.free_cells]] @ m
+    return Behavior(cells.tolist())
 
 
 class _QuadrupleLike(Protocol):

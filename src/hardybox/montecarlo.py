@@ -19,13 +19,15 @@ costs O(n) in all.  Within a piece a stable sort of the block ids (a radix
 sort of bytes) groups each block's trials; one call draws their doubles,
 three comparisons with the block's cumulative probabilities give each
 trial's code ``4 * block + outcome pair`` as one byte, and a scatter
-through the sort order puts the bytes back in trial order.
+through the sort order writes the codes over the piece's block ids.  That
+code byte is the log: a `TrialLog` is one uint8 array of codes, which
+`estimate` counts and `to_csv` writes, 2**18 trials at a time.
 
 A trial log on disk is CSV: the header ``settingA,settingB,outcomeA,
 outcomeB`` and one row per trial such as ``2,1,+1,-1``, every line ended
 by ``\\r\\n`` (what `csv.writer` writes).  A trial has only 16 possible
 rows, 11 bytes each, so `TrialLog.to_csv` writes them from a 16-row byte
-table indexed by the trial's code, 2**18 trials at a time.
+table indexed by the trial's code.
 `TrialLog.from_csv` reads the file's bytes; when they are exactly the
 header and whole table rows it decodes them as an ``(n, 11)`` byte array.
 Any other file (``\\n`` line ends, unsigned or padded or quoted fields, a
@@ -59,23 +61,14 @@ from .bell import HardyQuadruple
 
 _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
 _CSV_HEAD = ",".join(_CSV_HEADER).encode() + b"\r\n"
-#: the 16 rows `csv.writer` makes of a trial, 11 bytes each, indexed by the
-#: trial's code 4 * block + outcome pair
-_CSV_ROWS = np.array(
-    [
-        f"{1 + c // 8},{1 + c // 4 % 2},{'+-'[c // 2 % 2]}1,{'+-'[c % 2]}1\r\n".encode()
-        for c in range(16)
-    ],
-    dtype="S11",
-)
 
 #: substream holding the settings sequence; 0..3 are the setting blocks.
 SETTINGS_SUBSTREAM = 4
 
 #: most trials `simulate` accepts.  Simulating and estimating peak at about
-#: 6 bytes per trial, 4 of them the log itself (tracemalloc: 6.1 at 20M
-#: trials, 6.7 with 16 shards and 6.9 with 1 at 4M), so a run at the cap
-#: stays under about 400 MB.
+#: 1.1 bytes per trial at the cap, 1 of them the log itself (tracemalloc:
+#: 1.1 at 60M trials, 1.2 at 20M, 2.2-2.4 with 16 or 1 shards at 4M), so a
+#: `simulate` process at the cap peaks at about 105 MB.
 MAX_TRIALS = 60_000_000
 
 #: most trials `simulate` draws and `estimate` tabulates in one piece; bounds
@@ -168,6 +161,17 @@ class TrialRecord(NamedTuple):
     outcome_b: int
 
 
+#: the record of each trial code 4 * block + outcome pair
+_RECORDS = tuple(
+    TrialRecord(1 + c // 8, 1 + c // 4 % 2, 1 - 2 * (c // 2 % 2), 1 - 2 * (c % 2))
+    for c in range(16)
+)
+#: the 16 rows `csv.writer` makes of a trial, 11 bytes each, indexed by code
+_CSV_ROWS = np.array(
+    [f"{sa},{sb},{oa:+d},{ob:+d}\r\n".encode() for sa, sb, oa, ob in _RECORDS], dtype="S11"
+)
+
+
 def _column(name: str, values, dtype: type) -> np.ndarray:
     """One validated log column: settings 1, 2 as uint8, outcomes -1, +1 as int8.
 
@@ -187,10 +191,20 @@ def _column(name: str, values, dtype: type) -> np.ndarray:
     return x.astype(dtype, copy=False)
 
 
-class TrialLog(Sequence[TrialRecord]):
-    """Columnar container of trials, indexable like a sequence of records."""
+def _sign(bit: np.ndarray) -> np.ndarray:
+    return 1 - 2 * bit.view(np.int8)  # int8 +1 for a clear bit, -1 for a set one
 
-    __slots__ = ("settings_a", "settings_b", "outcomes_a", "outcomes_b")
+
+class TrialLog(Sequence[TrialRecord]):
+    """Trials as one uint8 ``code`` each, ``4 * block + outcome pair``.
+
+    Bits 3 and 2 are the settings of A and B less one, bits 1 and 0 are set
+    where A and B gave -1.  The columns (settings uint8 1, 2; outcomes int8
+    -1, +1) are computed from the codes when read.  The constructor takes and
+    checks the four columns; every log holds only codes 0..15.
+    """
+
+    __slots__ = ("code",)
 
     def __init__(
         self,
@@ -205,75 +219,77 @@ class TrialLog(Sequence[TrialRecord]):
         ob = _column("outcomes_b", outcomes_b, np.int8)
         if not (len(sa) == len(sb) == len(oa) == len(ob)):
             raise ValueError("column lengths differ")
-        self.settings_a = sa
-        self.settings_b = sb
-        self.outcomes_a = oa
-        self.outcomes_b = ob
+        code = (sa << 3) + (sb << 2)
+        code -= 12
+        code += (oa < 0).view(np.uint8) << 1
+        code += (ob < 0).view(np.uint8)
+        self.code = code
+
+    @classmethod
+    def _of_codes(cls, code: np.ndarray) -> "TrialLog":
+        """The log of a uint8 code array, taken as it is after one range check."""
+        if code.size and code.max() > 15:
+            raise ValueError(f"trial codes must lie in 0..15, got {code.max()}")
+        log = cls.__new__(cls)
+        log.code = code
+        return log
+
+    @property
+    def settings_a(self) -> np.ndarray:
+        return (self.code >> 3) + 1
+
+    @property
+    def settings_b(self) -> np.ndarray:
+        return ((self.code >> 2) & 1) + 1
+
+    @property
+    def outcomes_a(self) -> np.ndarray:
+        return _sign((self.code >> 1) & 1)
+
+    @property
+    def outcomes_b(self) -> np.ndarray:
+        return _sign(self.code & 1)
 
     def __len__(self) -> int:
-        return len(self.settings_a)
+        return len(self.code)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return TrialLog(
-                self.settings_a[i], self.settings_b[i], self.outcomes_a[i], self.outcomes_b[i]
-            )
-        return TrialRecord(
-            int(self.settings_a[i]),
-            int(self.settings_b[i]),
-            int(self.outcomes_a[i]),
-            int(self.outcomes_b[i]),
-        )
+            return TrialLog._of_codes(self.code[i])
+        return _RECORDS[self.code[i]]
 
     def __iter__(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            yield self[i]
+        return map(_RECORDS.__getitem__, self.code.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialLog):
             return NotImplemented
-        return (
-            np.array_equal(self.settings_a, other.settings_a)
-            and np.array_equal(self.settings_b, other.settings_b)
-            and np.array_equal(self.outcomes_a, other.outcomes_a)
-            and np.array_equal(self.outcomes_b, other.outcomes_b)
-        )
+        return np.array_equal(self.code, other.code)
 
     @staticmethod
     def from_records(records: Iterable[tuple[int, int, int, int]]) -> "TrialLog":
         rows = list(records)
-        if not rows:
-            return TrialLog.empty()
-        cols = list(zip(*rows))
-        return TrialLog(
-            np.array(cols[0]), np.array(cols[1]), np.array(cols[2]), np.array(cols[3])
-        )
+        return TrialLog(*map(np.array, zip(*rows))) if rows else TrialLog.empty()
 
     @staticmethod
     def empty() -> "TrialLog":
-        z = np.zeros(0, dtype=np.uint8)
-        return TrialLog(z, z, z.astype(np.int8), z.astype(np.int8))
+        return TrialLog._of_codes(np.zeros(0, dtype=np.uint8))
 
     @staticmethod
     def concat(parts: Sequence["TrialLog"]) -> "TrialLog":
         if not parts:
             return TrialLog.empty()
-        return TrialLog(
-            np.concatenate([p.settings_a for p in parts]),
-            np.concatenate([p.settings_b for p in parts]),
-            np.concatenate([p.outcomes_a for p in parts]),
-            np.concatenate([p.outcomes_b for p in parts]),
-        )
+        return TrialLog._of_codes(np.concatenate([p.code for p in parts]))
 
     def block_ids(self) -> np.ndarray:
-        return ((self.settings_a - 1) * 2 + (self.settings_b - 1)).astype(np.uint8)
+        return self.code >> 2
 
     def to_csv(self, path: str | Path) -> None:
         """Write the header and one row per trial, such as ``2,1,+1,-1\\r\\n``."""
         with open(path, "wb") as fh:
             fh.write(_CSV_HEAD)
-            for code in _trial_codes(self):
-                fh.write(_CSV_ROWS[code])
+            for i in range(0, len(self), _PIECE):
+                fh.write(_CSV_ROWS[self.code[i : i + _PIECE]])
 
     @staticmethod
     def from_csv(path: str | Path) -> "TrialLog":
@@ -290,35 +306,6 @@ class TrialLog(Sequence[TrialRecord]):
         if log is not None:
             return log
         return _read_csv(io.TextIOWrapper(io.BytesIO(data), newline=""))
-
-
-def _trial_codes(log: TrialLog) -> Iterator[np.ndarray]:
-    """Each trial as one byte, 4 * block + outcome pair, in pieces of `_PIECE`."""
-    columns = (log.settings_a, log.settings_b, log.outcomes_a, log.outcomes_b)
-    for i in range(0, len(log), _PIECE):
-        sa, sb, oa, ob = (c[i : i + _PIECE] for c in columns)
-        code = (sa << 3) + (sb << 2)
-        code -= 12
-        code += (oa < 0).view(np.uint8) << 1
-        code += (ob < 0).view(np.uint8)
-        yield code
-
-
-def _log_of_codes(code: np.ndarray) -> TrialLog:
-    """The log whose trials have the uint8 codes 4 * block + outcome pair."""
-    # each column is one shift of the code, finished in place; outcomes are
-    # 1 - 2 * bit in int8: +1 for a clear bit, -1 for a set one
-    sa, sb = code >> 3, code >> 2
-    oa, ob = (code >> 1).view(np.int8), (code & 1).view(np.int8)
-    sb &= 1
-    oa &= 1
-    sa += 1
-    sb += 1
-    oa *= -2
-    oa += 1
-    ob *= -2
-    ob += 1
-    return TrialLog(sa, sb, oa, ob)
 
 
 def _decode_table(data: bytes) -> TrialLog | None:
@@ -339,7 +326,7 @@ def _decode_table(data: bytes) -> TrialLog | None:
         if not np.array_equal(_CSV_ROWS[c].view(np.uint8), r.ravel()):
             return None
         code[i : i + len(r)] = c
-    return _log_of_codes(code)
+    return TrialLog._of_codes(code)
 
 
 def _read_csv(fh: io.TextIOBase) -> TrialLog:
@@ -394,7 +381,6 @@ def simulate(
             total = cells.sum()
             block_cuts.append(np.cumsum(cells / total)[:3] if total > 0.0 else None)
 
-    code = np.empty(n, dtype=np.uint8)
     drawn = [0, 0, 0, 0]  # doubles taken so far from each block's stream
     pieces = max(min(n_shards, n), -(-n // _PIECE))
     for s in range(pieces):
@@ -420,8 +406,13 @@ def simulate(
             out += 4 * g
             drawn[g] += m
             pos += m
-        code[start:end][order] = code_sorted
-    return _log_of_codes(code)
+        ids_s[order] = code_sorted  # the piece's ids are done with: codes replace them
+    return TrialLog._of_codes(ids)
+
+
+def _json_float(x: float) -> float | None:
+    # JSON has no NaN or infinity: an undefined or unbounded value is null
+    return x if math.isfinite(x) else None
 
 
 def _wilson_stderr(x: np.ndarray, n: int) -> np.ndarray:
@@ -482,15 +473,15 @@ class SampleStats:
             "counts": [list(row) for row in self.counts],
             "trials_per_block": list(self.trials_per_block),
             "freq": list(self.freq),
-            "stderr": [None if math.isinf(e) else e for e in self.stderr],
+            "stderr": [_json_float(e) for e in self.stderr],
         }
 
 
 def estimate(log: TrialLog) -> SampleStats:
     """Tabulate a trial log into per-cell statistics."""
     flat = np.zeros(16, dtype=np.int64)
-    for code in _trial_codes(log):
-        flat += np.bincount(code, minlength=16)
+    for i in range(0, len(log), _PIECE):  # bincount widens its input to intp
+        flat += np.bincount(log.code[i : i + _PIECE], minlength=16)
     return SampleStats.from_counts(flat.reshape(4, 4))
 
 
@@ -522,11 +513,11 @@ class InequalityTestResult:
         return {
             "quadruple": self.quadruple.to_json_dict(),
             "alpha": self.alpha,
-            "lower_slack": self.lower_slack,
-            "upper_slack": self.upper_slack,
-            "stderr": self.stderr,
-            "z_lower": None if math.isnan(self.z_lower) else self.z_lower,
-            "z_upper": None if math.isnan(self.z_upper) else self.z_upper,
+            "lower_slack": _json_float(self.lower_slack),
+            "upper_slack": _json_float(self.upper_slack),
+            "stderr": _json_float(self.stderr),
+            "z_lower": _json_float(self.z_lower),
+            "z_upper": _json_float(self.z_upper),
             "violated_lower": self.violated_lower,
             "violated_upper": self.violated_upper,
             "inconclusive": self.inconclusive,
@@ -596,8 +587,8 @@ class SignalingTestRow:
             "party": self.party.value,
             "setting": self.setting,
             "outcome": self.outcome,
-            "z": None if math.isnan(self.z) else self.z,
-            "p_value": None if math.isnan(self.p_value) else self.p_value,
+            "z": _json_float(self.z),
+            "p_value": _json_float(self.p_value),
             "significant": self.significant,
             "inconclusive": self.inconclusive,
         }

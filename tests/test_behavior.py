@@ -189,6 +189,20 @@ class TestJson:
             behavior_from_json_dict({"probs": [big] + [0] * 15})
         assert exc.value.field_name == "probs[0]"
 
+    @pytest.mark.parametrize(
+        "big",
+        [1e301, -1e301, 1.0000000000000002e300, 10**301, 1e308],
+        ids=["1e301", "-1e301", "next-float-above-1e300", "integer-10**301", "1e308"],
+    )
+    def test_magnitude_beyond_1e300_rejected(self, big):
+        with pytest.raises(SchemaError) as exc:
+            behavior_from_json_dict({"probs": [0.0] * 5 + [big] + [0.0] * 10})
+        assert exc.value.field_name == "probs[5]"
+
+    def test_magnitude_1e300_accepted(self):
+        b, _ = behavior_from_json_dict({"probs": [1e300, -1e300] * 8})
+        assert b.probs == (1e300, -1e300) * 8
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "box.json"
         save_behavior(pr_box(), path, label="pr")

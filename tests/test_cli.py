@@ -1,6 +1,7 @@
 """Command-line interface: JSON contracts, exit codes, file handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,20 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "error in probs[0]:" in err
+
+    def test_huge_cells_rejected(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"probs": [1e308] * 16}))
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error in probs[0]:" in err
+
+    def test_emit_refuses_nan_before_writing(self, capsys):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                cli._emit({"ok": 1.0, "bad": [value]})
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("flag", ["--tol", "--eps"])
@@ -154,6 +169,20 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--box", "mermin", "--n", str(MAX_TRIALS + 1))
         assert code == 2
         assert err.startswith("error: n ") and out == ""
+
+    def test_empty_blocks_print_valid_json(self, capsys):
+        # two trials leave blocks empty: the slacks are undefined and the
+        # standard error unbounded, and JSON has only null for them
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        code, out, err = run(
+            capsys, "simulate", "--box", "mermin", "--n", "2", "--seed", "1", "--quadruple", "1:13"
+        )
+        assert code == 0, err
+        ineq = json.loads(out, parse_constant=refuse)["inequality"]
+        assert ineq["inconclusive"] is True
+        assert [ineq[k] for k in ("lower_slack", "upper_slack", "stderr")] == [None] * 3
 
 
 class TestExamples:

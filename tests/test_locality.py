@@ -174,6 +174,18 @@ class TestCompletion:
             again = completion_roundtrip(b, v)
             assert np.allclose(again.probs, b.probs, atol=1e-12)
 
+    def test_roundtrip_equals_two_loop_completions(self):
+        # the round trip is two products with the affine tables; it agrees
+        # with two `complete_from_free_set` loops to the last bits
+        rng = np.random.default_rng(29)
+        for i in range(80):
+            b = random_no_signaling_behavior(rng, ALL_VARIANTS[i % 8])
+            for v in ALL_VARIANTS:
+                once = complete_from_free_set(free_values_of(b, v), v)
+                want = complete_from_free_set(free_values_of(once, v.inverse), v.inverse)
+                got = completion_roundtrip(b, v)
+                assert np.abs(np.subtract(got.probs, want.probs)).max() <= 1e-15
+
     def test_roundtrip_rejects_signaling(self):
         with pytest.raises(ValueError):
             completion_roundtrip(kwiat_hardy_box(), FreeSetId.S1)

@@ -718,3 +718,51 @@ def test_settings_drawn_in_pieces_match_one_draw():
     n, seed = 2 * montecarlo._PIECE + 7, 31
     whole = block_rng(seed, SETTINGS_SUBSTREAM).random(n) * 4.0
     assert np.array_equal(settings_sequence(n, seed), whole.astype(np.uint8))
+
+
+class TestCodeByte:
+    """The code byte 4 * block + outcome pair is the log; columns are views of it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=300))
+    def test_columns_round_trip_through_the_code(self, codes):
+        code = np.array(codes, dtype=np.uint8)
+        log = TrialLog._of_codes(code)
+        columns = (log.settings_a, log.settings_b, log.outcomes_a, log.outcomes_b)
+        assert [c.dtype for c in columns] == [np.uint8, np.uint8, np.int8, np.int8]
+        rebuilt = TrialLog(*columns)
+        assert rebuilt.code.dtype == np.uint8
+        assert np.array_equal(rebuilt.code, code)
+        assert rebuilt == log
+        assert np.array_equal(log.block_ids(), code >> 2)
+        for i, c in enumerate(codes):
+            want = TrialRecord(*(int(col[i]) for col in columns))
+            assert log[i] == want
+            assert want == (1 + c // 8, 1 + c // 4 % 2, 1 - 2 * (c // 2 % 2), 1 - 2 * (c % 2))
+        assert list(log) == [log[i] for i in range(len(codes))]
+
+    def test_code_above_15_rejected(self):
+        for bad in (16, 17, 255):
+            with pytest.raises(ValueError, match=f"^trial codes must lie in 0..15, got {bad}"):
+                TrialLog._of_codes(np.array([0, 15, bad, 3], dtype=np.uint8))
+        assert len(TrialLog._of_codes(np.array([15, 0], dtype=np.uint8))) == 2
+
+    def test_columns_are_read_only(self):
+        log = TrialLog.from_records([(1, 2, -1, 1)])
+        for name in ("settings_a", "settings_b", "outcomes_a", "outcomes_b"):
+            with pytest.raises(AttributeError):
+                setattr(log, name, np.ones(1, dtype=np.uint8))
+        assert TrialLog.__slots__ == ("code",)
+
+    @pytest.mark.parametrize("shards", [1, 16])
+    def test_simulate_and_estimate_take_under_4_bytes_per_trial(self, shards):
+        n = 2**22
+        b = mermin_box()
+        tracemalloc.start()
+        try:
+            stats = estimate(simulate(b, n, seed=11, n_shards=shards))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(stats.trials_per_block) == n
+        assert peak <= 4 * n
