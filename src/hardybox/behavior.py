@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Literal, NamedTuple
 
@@ -228,11 +228,54 @@ class SchemaError(ValueError):
         self.field_name = field_name
 
 
+def to_json(value: object) -> object:
+    """``value`` as JSON data: a record through its ``to_json_dict``, a tuple or
+    list as an array, a complex number as ``[re, im]``, an enum as its value,
+    and a NaN or infinite float as ``None``, since JSON has neither."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, complex):
+        return to_json((value.real, value.imag))
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def record_to_json(record: object) -> dict:
+    """A dataclass record as one key per field, in field order, each value `to_json`."""
+    return {f.name: to_json(getattr(record, f.name)) for f in fields(record)}
+
+
 def behavior_to_json_dict(b: Behavior, label: str | None = None) -> dict:
     doc: dict = {"probs": list(b.probs)}
     if label is not None:
         doc["label"] = label
     return doc
+
+
+def check_cell_value(x: object, name: str, field_name: str) -> None:
+    """`SchemaError` at ``field_name``, naming ``name``, unless the cell value
+    ``x`` is a number (not a bool), finite and at most 1e300 in magnitude.
+
+    Every quantity `check` prints, and every completed cell, sums at most 16
+    cells with coefficients of magnitude at most 1, so it stays finite.
+    """
+    try:
+        number = not isinstance(x, bool) and isinstance(x, (int, float))
+        finite = number and math.isfinite(x) and abs(x) <= 1e300
+    except OverflowError:  # JSON integers are unbounded
+        raise SchemaError(
+            f"'{name}' is an integer too large for a float", field_name=field_name
+        ) from None
+    if not finite:
+        raise SchemaError(
+            f"'{name}' must be a finite number of magnitude at most 1e300, got {x!r}",
+            field_name=field_name,
+        )
 
 
 def behavior_from_json_dict(doc: object) -> tuple[Behavior, str | None]:
@@ -248,20 +291,7 @@ def behavior_from_json_dict(doc: object) -> tuple[Behavior, str | None]:
     if not isinstance(probs, list) or len(probs) != 16:
         raise SchemaError("'probs' must be an array of 16 numbers", field_name="probs")
     for i, x in enumerate(probs):
-        # every quantity `check` prints sums at most 16 cells with coefficients
-        # of magnitude at most 1, so cells bounded by 1e300 keep them finite
-        try:
-            number = not isinstance(x, bool) and isinstance(x, (int, float))
-            finite = number and math.isfinite(x) and abs(x) <= 1e300
-        except OverflowError:  # JSON integers are unbounded
-            raise SchemaError(
-                f"'probs[{i}]' is an integer too large for a float", field_name=f"probs[{i}]"
-            ) from None
-        if not finite:
-            raise SchemaError(
-                f"'probs[{i}]' must be a finite number of magnitude at most 1e300, got {x!r}",
-                field_name=f"probs[{i}]",
-            )
+        check_cell_value(x, f"probs[{i}]", field_name=f"probs[{i}]")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise SchemaError("'label' must be a string when present", field_name="label")

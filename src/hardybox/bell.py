@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .behavior import DEFAULT_TOL, Behavior, index_of, is_no_signaling, is_normalized
+from .behavior import DEFAULT_TOL, Behavior, index_of, is_no_signaling, is_normalized, record_to_json
 from .locality import SIGMA_PRIME_SUPPORTS, SIGMA_SUPPORTS, FreeSetId, completion_signs
 
 # Four-probability CH forms, one of the four equivalent reductions per index.
@@ -296,16 +296,7 @@ class ChshReport:
     def violated(self) -> bool:
         return any(self.sigma_violations) or any(self.delta_violations)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "sigma": list(self.sigma),
-            "sigma_prime": list(self.sigma_prime),
-            "delta": list(self.delta),
-            "sigma_violations": list(self.sigma_violations),
-            "delta_violations": list(self.delta_violations),
-            "consistency_residuals": list(self.consistency_residuals),
-        }
+    to_json_dict = record_to_json
 
 
 def chsh_check(b: Behavior, tol: float = DEFAULT_TOL) -> ChshReport:
@@ -344,14 +335,7 @@ class ChReport:
     def violated(self) -> bool:
         return any(self.four_term_violations) or any(self.full_violations)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "b_four_term": list(self.b_four_term),
-            "b_full": list(self.b_full),
-            "four_term_violations": list(self.four_term_violations),
-            "full_violations": list(self.full_violations),
-        }
+    to_json_dict = record_to_json
 
 
 def ch_check(
@@ -481,11 +465,9 @@ def local_deterministic_behavior(
     for o in (*a_outcomes, *b_outcomes):
         if o not in (1, -1):
             raise ValueError(f"outcomes must be +1 or -1, got {o!r}")
-    cells = []
-    for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        for m, n in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            hit = a_outcomes[j - 1] == m and b_outcomes[k - 1] == n
-            cells.append(1.0 if hit else 0.0)
+    cells = [0.0] * 16
+    for j, k in product((1, 2), (1, 2)):
+        cells[index_of(j, k, a_outcomes[j - 1], b_outcomes[k - 1]) - 1] = 1.0
     return Behavior(tuple(cells))
 
 

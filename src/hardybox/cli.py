@@ -32,6 +32,7 @@ from .behavior import (
     Behavior,
     SchemaError,
     behavior_to_json_dict,
+    check_cell_value,
     correlation_vector,
     is_no_signaling,
     is_normalized,
@@ -195,9 +196,9 @@ def cmd_complete(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SchemaError(f"bad free values: {exc}", field_name="free") from exc
     if len(values) != 8:
-        raise SchemaError(
-            f"need 8 free values, got {len(values)}", field_name="free"
-        )
+        raise SchemaError(f"need 8 free values, got {len(values)}", field_name="free")
+    for i, x in enumerate(values):
+        check_cell_value(x, f"free[{i}]", field_name="free")
     variant = FreeSetId(args.variant)
     b = complete_from_free_set(values, variant)
     _emit(behavior_to_json_dict(b, label=f"completion via {variant.value}"))

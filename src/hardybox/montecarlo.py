@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .behavior import SIGNALING_ROWS, Behavior, Party, is_valid
+from .behavior import SIGNALING_ROWS, Behavior, Party, cell_of, is_valid, record_to_json, to_json
 from .bell import HardyQuadruple
 
 _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
@@ -162,10 +162,7 @@ class TrialRecord(NamedTuple):
 
 
 #: the record of each trial code 4 * block + outcome pair
-_RECORDS = tuple(
-    TrialRecord(1 + c // 8, 1 + c // 4 % 2, 1 - 2 * (c // 2 % 2), 1 - 2 * (c % 2))
-    for c in range(16)
-)
+_RECORDS = tuple(TrialRecord(*cell_of(c + 1)) for c in range(16))
 #: the 16 rows `csv.writer` makes of a trial, 11 bytes each, indexed by code
 _CSV_ROWS = np.array(
     [f"{sa},{sb},{oa:+d},{ob:+d}\r\n".encode() for sa, sb, oa, ob in _RECORDS], dtype="S11"
@@ -410,11 +407,6 @@ def simulate(
     return TrialLog._of_codes(ids)
 
 
-def _json_float(x: float) -> float | None:
-    # JSON has no NaN or infinity: an undefined or unbounded value is null
-    return x if math.isfinite(x) else None
-
-
 def _wilson_stderr(x: np.ndarray, n: int) -> np.ndarray:
     # centered binomial stderr; strictly positive even at x = 0 or x = n
     p = x / n
@@ -468,13 +460,7 @@ class SampleStats:
             raise ValueError("cannot derive a behavior: some block has no trials")
         return Behavior(self.freq)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "counts": [list(row) for row in self.counts],
-            "trials_per_block": list(self.trials_per_block),
-            "freq": list(self.freq),
-            "stderr": [_json_float(e) for e in self.stderr],
-        }
+    to_json_dict = record_to_json
 
 
 def estimate(log: TrialLog) -> SampleStats:
@@ -509,19 +495,7 @@ class InequalityTestResult:
     def violated(self) -> bool:
         return self.violated_lower or self.violated_upper
 
-    def to_json_dict(self) -> dict:
-        return {
-            "quadruple": self.quadruple.to_json_dict(),
-            "alpha": self.alpha,
-            "lower_slack": _json_float(self.lower_slack),
-            "upper_slack": _json_float(self.upper_slack),
-            "stderr": _json_float(self.stderr),
-            "z_lower": _json_float(self.z_lower),
-            "z_upper": _json_float(self.z_upper),
-            "violated_lower": self.violated_lower,
-            "violated_upper": self.violated_upper,
-            "inconclusive": self.inconclusive,
-        }
+    to_json_dict = record_to_json
 
 
 def test_inequality(
@@ -582,16 +556,7 @@ class SignalingTestRow:
     significant: bool
     inconclusive: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "party": self.party.value,
-            "setting": self.setting,
-            "outcome": self.outcome,
-            "z": _json_float(self.z),
-            "p_value": _json_float(self.p_value),
-            "significant": self.significant,
-            "inconclusive": self.inconclusive,
-        }
+    to_json_dict = record_to_json
 
 
 @dataclass(frozen=True)
@@ -618,7 +583,7 @@ class SignalingReport:
             "alpha": self.alpha,
             "detected": self.detected,
             "inconclusive": self.inconclusive,
-            "rows": [r.to_json_dict() for r in self.rows],
+            "rows": to_json(self.rows),
         }
 
 

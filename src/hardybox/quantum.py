@@ -32,12 +32,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .behavior import Behavior, SchemaError, cell_of, correlation_vector
+from .behavior import Behavior, SchemaError, cell_of, correlation_vector, record_to_json
 from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values, sigma_values
 
 #: Largest Hardy probability reachable by two-qubit states: golden mean to the -5.
@@ -72,8 +72,7 @@ class TwoQubitState:
     def as_array(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
 
-    def to_json_dict(self) -> dict:
-        return {"amplitudes": [[a.real, a.imag] for a in self.amplitudes]}
+    to_json_dict = record_to_json
 
 
 def singlet() -> TwoQubitState:
@@ -99,8 +98,7 @@ class BlochDirection:
             raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
         return _eigenstates(self.theta, self.phi)[outcome]
 
-    def to_json_dict(self) -> dict:
-        return {"theta": self.theta, "phi": self.phi}
+    to_json_dict = record_to_json
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,7 @@ class MeasurementSettings:
     def for_b(self, setting: int) -> BlochDirection:
         return self.b1 if setting == 1 else self.b2
 
-    def to_json_dict(self) -> dict:
-        return {name: getattr(self, name).to_json_dict() for name in ("a1", "a2", "b1", "b2")}
+    to_json_dict = record_to_json
 
 
 def all_z_settings() -> MeasurementSettings:
@@ -241,8 +238,7 @@ class OptimizerConfig:
                 raise SchemaError(f"{name} must be {what}, got {v!r}", name)
         object.__setattr__(self, "constraint_tol", float(self.constraint_tol))
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    to_json_dict = record_to_json
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OptimizerConfig":
@@ -362,8 +358,7 @@ class SearchDiagnostics:
     kernel_evaluations: int
     max_constrained_cell: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    to_json_dict = record_to_json
 
 
 def minimize(*args, **kwargs):
@@ -498,15 +493,7 @@ class SigmaOptimum:
     settings: MeasurementSettings
     diagnostics: SearchDiagnostics
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_index": self.sigma_index,
-            "minimize": self.minimize,
-            "value": self.value,
-            "state": self.state.to_json_dict(),
-            "settings": self.settings.to_json_dict(),
-            "diagnostics": self.diagnostics.to_json_dict(),
-        }
+    to_json_dict = record_to_json
 
 
 def maximize_sigma(
@@ -548,14 +535,7 @@ class PerfectCorrelationReport:
         return self.correlations_ok and self.deltas_ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "patterns": [q.to_json_dict() for q in self.patterns],
-            "correlations": list(self.correlations),
-            "deltas": list(self.deltas),
-            "correlations_ok": self.correlations_ok,
-            "deltas_ok": self.deltas_ok,
-            "passed": self.passed,
-        }
+        return {**record_to_json(self), "passed": self.passed}
 
 
 def singlet_perfect_correlation_check(

@@ -129,6 +129,30 @@ class TestComplete:
         code, _, _ = run(capsys, "complete", "--variant", "s1", "--free", "a,b,c,d,e,f,g,h")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "free, index, got",
+        [
+            ("nan,0,0,0,0,0,0,0", 0, "nan"),
+            ("0,1e400,0,0,0,0,0,0", 1, "inf"),
+            ("0,0,0,0,0,0,0,-inf", 7, "-inf"),
+            # each value is finite, but a completion summing them would not be
+            ("1e308,1e308,1e308,0,0,0,0,0", 0, "1e+308"),
+        ],
+    )
+    def test_unbounded_value_names_free(self, capsys, free, index, got):
+        code, out, err = run(capsys, "complete", "--variant", "s1", f"--free={free}")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error in free: 'free[{index}]' must be a finite number of magnitude "
+            f"at most 1e300, got {got}\n"
+        )
+
+    def test_values_at_the_bound_complete(self, capsys):
+        free = ",".join(["-1e300"] * 8)
+        doc = run_json(capsys, "complete", "--variant", "s1", f"--free={free}")
+        assert all(math.isfinite(p) for p in doc["probs"])
+
 
 class TestSimulate:
     def test_basic(self, capsys, tmp_path):
