@@ -355,9 +355,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_free_value(argv: list[str]) -> list[str]:
+    """``--free VALUES`` as ``--free=VALUES``.
+
+    argparse reads a separate token that starts with ``-``, such as
+    ``-0.5,0.5,...``, as an option, not as the value of ``--free``.  A bare
+    trailing ``--free`` is left for argparse to reject.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--free":
+            out[-1] = f"--free={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_free_value(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SchemaError as exc:

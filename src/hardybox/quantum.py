@@ -25,6 +25,15 @@ equality constraints on the cell amplitudes, smooth trig polynomials of the
 angles.  `scipy.optimize` supplies the solver (`minimize`) and is imported
 on the first search, so importing the package, and every command that does
 not search, runs without scipy.
+
+In real mode (the default) every search point is one pass in float
+arithmetic: the state, the eigenvectors and hence the amplitudes are real
+there, and complex arithmetic on numbers whose imaginary parts are zero
+rounds each real part exactly as float arithmetic does.  So the floats equal
+the real parts of the complex computation bit for bit (an exact zero may
+differ in sign), and with the sums over cells added in numpy's order the
+searches return the same bits as a complex pass would, at about half the
+cost per point.  Complex mode runs the same kernel on complex numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,9 +134,13 @@ def all_z_settings() -> MeasurementSettings:
 
 
 def _eigenstates(theta: float, phi: float) -> dict[int, tuple[complex, complex]]:
-    """Spin eigenvectors along (theta, phi), keyed by outcome +1 / -1."""
+    """Spin eigenvectors along (theta, phi), keyed by outcome +1 / -1.
+
+    At ``phi == 0`` the components are floats: the phase is then exactly 1,
+    so they equal the real parts of the complex vectors bit for bit.
+    """
     half = 0.5 * theta
-    phase = cmath.exp(1j * phi)
+    phase = cmath.exp(1j * phi) if phi else 1.0
     cos, sin = math.cos(half), math.sin(half)
     return {1: (cos, phase * sin), -1: (sin, -phase * cos)}
 
@@ -168,22 +181,33 @@ def _born_amps(
     Each entry is the amplitude with one factor differentiated: d(psi), or an
     eigenvector, where d e_m/d theta = -(m/2) e_{-m} (the cell with that
     party's outcome flipped) and phi enters e_m[1] only, as e^{i phi}.
+
+    Every entry is written out in `_amp`'s operation order, with B's vector
+    contracted into psi once per cell and shared by the amplitude and the
+    A-setting derivative.  With float inputs (real mode, a real state) the
+    whole pass runs in float arithmetic, whose results equal the real parts
+    of the same pass on complex numbers with zero imaginary parts bit for bit
+    (see the module docstring).
     """
     bases = [_eigenstates(theta, -phi) for theta, phi in dirs]  # conjugated, as in _born_cells
-    step = 1 if real else 2
+    n_psi, step = len(dpsi), 1 if real else 2
+    p0, p1, p2, p3 = psi
     amps, jac = [], []
     for c in cells:
         j, k, m, n = _CELL_COORDS[c]
         ea, eb = bases[j - 1], bases[1 + k]
-        a, b = ea[m], eb[n]
-        row = [_amp(a, b, d) for d in dpsi] + [0j] * (4 * step)
-        col_a, col_b = len(dpsi) + step * (j - 1), len(dpsi) + step * (1 + k)
-        row[col_a] = -0.5 * m * _amp(ea[-m], b, psi)
-        row[col_b] = -0.5 * n * _amp(a, eb[-n], psi)
+        (a0, a1), (b0, b1) = ea[m], eb[n]
+        (f0, f1), (g0, g1) = ea[-m], eb[-n]
+        u0, u1 = b0 * p0 + b1 * p1, b0 * p2 + b1 * p3
+        row = [a0 * (b0 * d0 + b1 * d1) + a1 * (b0 * d2 + b1 * d3) for d0, d1, d2, d3 in dpsi]
+        row += [0.0] * (4 * step)
+        col_a, col_b = n_psi + step * (j - 1), n_psi + step * (1 + k)
+        row[col_a] = -0.5 * m * (f0 * u0 + f1 * u1)
+        row[col_b] = -0.5 * n * (a0 * (g0 * p0 + g1 * p1) + a1 * (g0 * p2 + g1 * p3))
         if not real:
-            row[col_a + 1] = _amp((0.0, -1j * a[1]), b, psi)
-            row[col_b + 1] = _amp(a, (0.0, -1j * b[1]), psi)
-        amps.append(_amp(a, b, psi))
+            row[col_a + 1] = _amp((0.0, -1j * a1), (b0, b1), psi)
+            row[col_b + 1] = _amp((a0, a1), (0.0, -1j * b1), psi)
+        amps.append(a0 * u0 + a1 * u1)
         jac.append(row)
     return amps, jac
 
@@ -265,8 +289,11 @@ def _hypersphere(a: Sequence[float]) -> tuple[list[float], list[list[float]]]:
 
 
 def _qubit(theta: float, phi: float) -> tuple[tuple[complex, complex], list[tuple[complex, complex]]]:
-    """(cos theta, e^{i phi} sin theta) and its theta and phi derivatives."""
-    c, s, ph = math.cos(theta), math.sin(theta), cmath.exp(1j * phi)
+    """(cos theta, e^{i phi} sin theta) and its theta and phi derivatives.
+
+    Real, like `_eigenstates`, where ``phi == 0``.
+    """
+    c, s, ph = math.cos(theta), math.sin(theta), cmath.exp(1j * phi) if phi else 1.0
     return (c, ph * s), [(-s, ph * c), (0.0, 1j * ph * s)]
 
 
@@ -292,15 +319,17 @@ class _SearchSpace:
         per_real_angle = 1 if real_mode else 2  # complex mode adds a phase per angle
         self.n_state = 0 if fixed_state is not None else (2 if product_mode else 3) * per_real_angle
         self.dims = self.n_state + 4 * per_real_angle
+        # a fixed state with zero imaginary parts enters the kernel as floats
+        fixed = fixed_state.amplitudes if fixed_state is not None else ()
+        real_state = not any(a.imag for a in fixed)
+        self._fixed_psi = tuple(a.real for a in fixed) if real_state else fixed
         # cell amplitudes are real functions of x only in real mode with a real state
-        self.complex_amps = not real_mode or (
-            fixed_state is not None and any(a.imag for a in fixed_state.amplitudes)
-        )
+        self.complex_amps = not real_mode or not real_state
 
     def state_of(self, x: np.ndarray) -> tuple[tuple[complex, ...], list[tuple[complex, ...]]]:
         """The amplitudes psi(x) and d(psi)/dx for each state parameter."""
         if self.fixed_state is not None:
-            return self.fixed_state.amplitudes, []
+            return self._fixed_psi, []
         if self.product_mode:
             keep = 1 if self.real_mode else 2
             angles = ((x[0], 0.0), (x[1], 0.0)) if self.real_mode else ((x[0], x[1]), (x[2], x[3]))
@@ -373,6 +402,71 @@ _MAXITER = 100
 _FTOL = 1e-12
 
 
+def _numpy_sum(terms: list[float]) -> float:
+    """``float(np.sum(terms))`` for at most 128 float64 terms, bit for bit.
+
+    numpy's pairwise summation adds fewer than 8 terms one by one from 0.0;
+    more go into 8 interleaved partial sums, combined as a balanced tree,
+    and the last ``len % 8`` terms are then added one by one.
+    """
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    r, tail = terms[:8], len(terms) - len(terms) % 8
+    for i in range(8, tail, 8):
+        r = [a + b for a, b in zip(r, terms[i : i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[tail:]:
+        total += t
+    return total
+
+
+def _evaluator(
+    space: _SearchSpace, objective_cells: Sequence[int], zero_cells: Sequence[int], sign: float
+) -> Callable[[bytes], tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]]:
+    """Everything a descent reads at one point, cached for the last point.
+
+    ``evaluate(x.tobytes())`` returns ``((value, gradient), constraint
+    values, constraint Jacobian, residual)``: ``sign`` times the probability
+    sum of ``objective_cells`` with its gradient, the zero amplitudes (real
+    parts, then imaginary parts where they can be nonzero) with their
+    Jacobian rows, and the largest constrained probability.  One `_born_amps`
+    call per distinct point; SLSQP asks for the value, the gradient and the
+    constraints at the same point, and they are lookups.
+    """
+    cells = (*objective_cells, *zero_cells)
+    n_obj, twice = len(objective_cells), 2.0 * sign
+
+    @functools.lru_cache(maxsize=1)
+    def evaluate(key: bytes) -> tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]:
+        amps, jac = space.amplitudes(np.frombuffer(key), cells)
+        if space.complex_amps:
+            # numpy's complex product and modulus, which Python's complex
+            # arithmetic rounds differently: numpy fuses multiply-adds and
+            # scales its hypot where the CPU allows
+            amps, jac = np.array(amps), np.array(jac)
+            obj, z, zjac = amps[:n_obj], amps[n_obj:], jac[n_obj:]
+            value = float(np.sum(np.abs(obj) ** 2))
+            grad = (obj[:, None].conj() * jac[:n_obj]).real.sum(axis=0)
+            zeros = np.concatenate((z.real, z.imag))
+            zeros_jac = np.concatenate((zjac.real, zjac.imag))
+            resid = float(np.max(np.abs(z) ** 2, initial=0.0))
+        else:
+            # float amplitudes: the same sums in numpy's order; the gradient's,
+            # a sum over rows, takes one row at a time from 0.0
+            acc = [0.0] * space.dims
+            for o, row in zip(amps[:n_obj], jac):
+                acc = [s + o * d for s, d in zip(acc, row)]
+            value, grad = _numpy_sum([o * o for o in amps[:n_obj]]), np.array(acc)
+            zeros, zeros_jac = np.array(amps[n_obj:]), np.array(jac[n_obj:])
+            resid = max([z * z for z in amps[n_obj:]], default=0.0)
+        return (sign * value, twice * grad), zeros, zeros_jac, resid
+
+    return evaluate
+
+
 def _extremize(
     space: _SearchSpace,
     objective_cells: Sequence[int],
@@ -391,34 +485,20 @@ def _extremize(
     settings, Born behavior and diagnostics, or raises `ConvergenceError` if
     no descent qualifies.
     """
-    n_obj = len(objective_cells)
-
-    @functools.lru_cache(maxsize=1)  # SLSQP asks for value, gradient, constraints at one x
-    def kernel(key: bytes) -> tuple[np.ndarray, np.ndarray]:
-        amps, jac = space.amplitudes(np.frombuffer(key), (*objective_cells, *zero_cells))
-        return np.array(amps), np.array(jac)
-
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        amps, jac = kernel(x.tobytes())
-        obj = amps[:n_obj]
-        grad = 2.0 * sign * (obj[:, None].conj() * jac[:n_obj]).real.sum(axis=0)
-        return sign * float(np.sum(np.abs(obj) ** 2)), grad
-
-    def zeros(x: np.ndarray, part: int) -> np.ndarray:
-        z = kernel(x.tobytes())[part][n_obj:]  # part 0: values, 1: Jacobian rows
-        return np.concatenate((z.real, z.imag)) if space.complex_amps else z.real
-
-    constraints = [
-        {"type": "eq", "fun": lambda x: zeros(x, 0), "jac": lambda x: zeros(x, 1)}
-    ] if zero_cells else []
+    evaluate = _evaluator(space, objective_cells, zero_cells, sign)
+    constraints = [{
+        "type": "eq",
+        "fun": lambda x: evaluate(x.tobytes())[1],
+        "jac": lambda x: evaluate(x.tobytes())[2],
+    }] if zero_cells else []
 
     def descend(x0: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
         res = minimize(
-            fun, x0, jac=True, method="SLSQP", constraints=constraints,
-            options={"maxiter": _MAXITER, "ftol": _FTOL},
+            lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
+            constraints=constraints, options={"maxiter": _MAXITER, "ftol": _FTOL},
         )
-        resid = float(np.max(np.abs(kernel(res.x.tobytes())[0][n_obj:]) ** 2, initial=0.0))
-        return res.x, fun(res.x)[0], resid, bool(res.success) and resid <= cfg.constraint_tol
+        (value, _), _, _, resid = evaluate(res.x.tobytes())
+        return res.x, value, resid, bool(res.success) and resid <= cfg.constraint_tol
 
     results = [descend(x0) for x0 in _starts(space, cfg.starts, cfg.seed)]
     feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
@@ -434,7 +514,7 @@ def _extremize(
         starts_tried=cfg.starts,
         starts_feasible=len(feasible),
         winning_start=winner,
-        kernel_evaluations=kernel.cache_info().misses,
+        kernel_evaluations=evaluate.cache_info().misses,
         max_constrained_cell=resid,
     )
 

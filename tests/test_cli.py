@@ -148,6 +148,20 @@ class TestComplete:
             f"at most 1e300, got {got}\n"
         )
 
+    @pytest.mark.parametrize("free", ["-0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "0.5,-0.25,0,0,0,0,0,0"])
+    def test_free_value_as_separate_token(self, capsys, free):
+        # a list starting with a minus sign is the value, not an option
+        spaced = run(capsys, "complete", "--variant", "s1", "--free", free)
+        joined = run(capsys, "complete", "--variant", "s1", f"--free={free}")
+        assert spaced == joined
+        assert spaced[0] == 0 and json.loads(spaced[1])["probs"]
+
+    def test_bare_trailing_free_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["complete", "--variant", "s1", "--free"])
+        assert exc.value.code == 2
+        assert "--free: expected one argument" in capsys.readouterr().err
+
     def test_values_at_the_bound_complete(self, capsys):
         free = ",".join(["-1e300"] * 8)
         doc = run_json(capsys, "complete", "--variant", "s1", f"--free={free}")

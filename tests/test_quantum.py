@@ -5,6 +5,7 @@ projectors (I + outcome * n.sigma)/2 assembled from Pauli matrices, a route
 sharing no code with the implementation's eigenbasis path.
 """
 
+import cmath
 import math
 import os
 import subprocess
@@ -199,6 +200,142 @@ class TestAmplitudeKernel:
             assert np.allclose(np.abs(amps) ** 2, probs, atol=1e-14)
             if not space.complex_amps:
                 assert max(abs(complex(a).imag) for a in amps) <= 1e-15
+
+
+# The complex-arithmetic kernel and the numpy evaluator that the float pass
+# replaced, kept verbatim as the reference it must equal bit for bit.
+def _reference_eigenstates(theta, phi):
+    half = 0.5 * theta
+    phase = cmath.exp(1j * phi)
+    cos, sin = math.cos(half), math.sin(half)
+    return {1: (cos, phase * sin), -1: (sin, -phase * cos)}
+
+
+def _reference_amp(a, b, psi):
+    return a[0] * (b[0] * psi[0] + b[1] * psi[1]) + a[1] * (b[0] * psi[2] + b[1] * psi[3])
+
+
+def _reference_born_amps(psi, dpsi, dirs, cells, real):
+    bases = [_reference_eigenstates(theta, -phi) for theta, phi in dirs]
+    step = 1 if real else 2
+    amps, jac = [], []
+    for c in cells:
+        j, k, m, n = cell_of(c)
+        ea, eb = bases[j - 1], bases[1 + k]
+        a, b = ea[m], eb[n]
+        row = [_reference_amp(a, b, d) for d in dpsi] + [0j] * (4 * step)
+        col_a, col_b = len(dpsi) + step * (j - 1), len(dpsi) + step * (1 + k)
+        row[col_a] = -0.5 * m * _reference_amp(ea[-m], b, psi)
+        row[col_b] = -0.5 * n * _reference_amp(a, eb[-n], psi)
+        if not real:
+            row[col_a + 1] = _reference_amp((0.0, -1j * a[1]), b, psi)
+            row[col_b + 1] = _reference_amp(a, (0.0, -1j * b[1]), psi)
+        amps.append(_reference_amp(a, b, psi))
+        jac.append(row)
+    return amps, jac
+
+
+def reference_amplitudes(space, x, cells):
+    """The complex pass, with the state and its derivatives as complex numbers."""
+    x = x.tolist()
+    psi, dpsi = space.state_of(x)
+    psi = [complex(v) for v in psi]
+    dpsi = [[complex(v) for v in row] for row in dpsi]
+    return _reference_born_amps(psi, dpsi, space.directions_of(x), cells, space.real_mode)
+
+
+def reference_evaluation(space, objective_cells, zero_cells, sign, x):
+    """((value, gradient), constraint values, constraint Jacobian, residual)."""
+    n_obj = len(objective_cells)
+    amps, jac = reference_amplitudes(space, x, (*objective_cells, *zero_cells))
+    amps, jac = np.array(amps), np.array(jac)
+    obj = amps[:n_obj]
+    grad = 2.0 * sign * (obj[:, None].conj() * jac[:n_obj]).real.sum(axis=0)
+    value = sign * float(np.sum(np.abs(obj) ** 2))
+
+    def zeros(part):
+        z = (amps, jac)[part][n_obj:]
+        return np.concatenate((z.real, z.imag)) if space.complex_amps else z.real
+
+    resid = float(np.max(np.abs(amps[n_obj:]) ** 2, initial=0.0))
+    return (value, grad), zeros(0), zeros(1), resid
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def make_space(name, rng):
+    real, product, fixed = PARAMETRIZATIONS[name]
+    state = {"random": random_state(rng), "singlet": singlet(), None: None}[fixed]
+    return _SearchSpace(real, product, fixed_state=state)
+
+
+class TestFloatPass:
+    CELLS = (1, 6, 11, 16, 13, 4, 5, 9, 2, 7)
+
+    @pytest.mark.parametrize("name", list(PARAMETRIZATIONS))
+    def test_kernel_equals_complex_pass(self, name):
+        rng = np.random.default_rng(40 + sorted(PARAMETRIZATIONS).index(name))
+        space = make_space(name, rng)
+        for _ in range(50):
+            x = rng.uniform(0.0, 2.0 * math.pi, space.dims)
+            amps, jac = space.amplitudes(x, self.CELLS)
+            ref_amps, ref_jac = reference_amplitudes(space, x, self.CELLS)
+            assert amps == ref_amps, name
+            assert jac == ref_jac, name
+            if not space.complex_amps:
+                # float arithmetic throughout, and the same bits as the real parts
+                assert all(type(v) is float for v in [*amps, *(v for row in jac for v in row)])
+                assert same_bits(amps, [v.real for v in ref_amps])
+                assert same_bits(jac, [[v.real for v in row] for row in ref_jac])
+
+    def test_real_mode_runs_in_floats(self):
+        for space in (_SearchSpace(True, False), _SearchSpace(True, True),
+                      _SearchSpace(True, False, fixed_state=singlet())):
+            psi, dpsi = space.state_of([0.3] * space.dims)
+            assert all(type(v) is float for v in psi)
+            amps, jac = space.amplitudes(np.full(space.dims, 0.7), (1, 16))
+            assert all(type(v) is float for v in [*amps, *jac[0], *jac[1]])
+        assert all(type(v) is float for v in quantum._eigenstates(0.4, -0.0)[-1])
+        space = _SearchSpace(False, False)
+        assert all(type(v) is complex for v in space.amplitudes(np.full(space.dims, 0.7), (1, 16))[0])
+
+    @pytest.mark.parametrize("name", list(PARAMETRIZATIONS))
+    @pytest.mark.parametrize("search", ["hardy", "sigma max", "sigma min"])
+    def test_evaluator_equals_numpy_expressions(self, name, search):
+        objective, zero, sign = {
+            "hardy": ((13,), (4, 5, 9), -1.0),
+            "sigma max": (quantum.SIGMA_SUPPORTS[2], (), -1.0),
+            "sigma min": (quantum.SIGMA_SUPPORTS[4], (), 1.0),
+        }[search]
+        rng = np.random.default_rng(60 + sorted(PARAMETRIZATIONS).index(name))
+        space = make_space(name, rng)
+        evaluate = quantum._evaluator(space, objective, zero, sign)
+        for i in range(40):
+            x = rng.uniform(0.0, 2.0 * math.pi, space.dims)
+            (value, grad), cons, cons_jac, resid = evaluate(x.tobytes())
+            (ref_value, ref_grad), ref_cons, ref_jac, ref_resid = reference_evaluation(
+                space, objective, zero, sign, x
+            )
+            assert type(value) is float and value == ref_value
+            assert same_bits(value, ref_value) and same_bits(grad, ref_grad)
+            assert same_bits(resid, ref_resid)
+            if zero:
+                assert same_bits(cons, ref_cons) and same_bits(cons_jac, ref_jac)
+            # one kernel pass per distinct point
+            assert evaluate(x.tobytes())[0] is evaluate(x.tobytes())[0]
+            assert evaluate.cache_info().misses == i + 1
+
+    def test_numpy_sum_order(self):
+        rng = np.random.default_rng(7)
+        spread = [1e16, -1e16, 1.0, 3.0, 1e-16, -0.0, 1.0 / 3.0]
+        for n in range(0, 41):
+            for _ in range(30):
+                terms = [float(v) for v in rng.choice(spread, n)]
+                terms = [t * float(rng.uniform(0.5, 2.0)) for t in terms]
+                assert same_bits(quantum._numpy_sum(terms), np.sum(np.array(terms, dtype=float)))
 
 
 class TestOptimizerConfig:
