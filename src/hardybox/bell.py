@@ -22,8 +22,10 @@ its values off one product with a coefficient matrix built at import.  Its
 rows: the indicators of ``SIGMA_SUPPORTS[i]`` and of their complements
 (Sigma_i, Sigma'_i); twice those Sigma_i rows minus one (Delta_i); the
 Delta_i signs on the (+,+) cells less the marginals of the settings outside
-the block signed -1 (six-term CH); `_CH_FOUR_TERM`; and the Hardy lower
-slacks pk + pl + pm - pj, each upper slack being 1 minus its lower one.
+the block signed -1 (six-term CH); the four-term CH rows B_i, each the
+negated lower slack of one Hardy quadruple (`_CH_FOUR_TERM_QUADRUPLES`); and
+the 64 Hardy lower slacks pk + pl + pm - pj, each upper slack being 1 minus
+its lower one.
 
 Cell numbering follows `hardybox.behavior`.
 """
@@ -38,15 +40,6 @@ import numpy as np
 
 from .behavior import DEFAULT_TOL, Behavior, index_of, is_no_signaling, is_normalized, record_to_json
 from .locality import SIGMA_PRIME_SUPPORTS, SIGMA_SUPPORTS, FreeSetId, completion_signs
-
-# Four-probability CH forms, one of the four equivalent reductions per index.
-_CH_FOUR_TERM: dict[int, tuple[tuple[int, int], ...]] = {
-    1: ((-1, 2), (+1, 5), (-1, 11), (-1, 13)),
-    2: ((-1, 2), (+1, 5), (-1, 9), (-1, 15)),
-    3: ((-1, 3), (-1, 5), (-1, 10), (+1, 13)),
-    4: ((-1, 1), (+1, 5), (-1, 10), (-1, 15)),
-}
-
 
 @dataclass(frozen=True)
 class SigmaValues:
@@ -172,13 +165,23 @@ def _ch_full_row(delta: np.ndarray, a_marg_via: int, b_marg_via: int) -> np.ndar
     )
 
 
+def _slack_row(q: HardyQuadruple, sign: int) -> np.ndarray:
+    """``sign`` times the lower slack pk + pl + pm - pj; integer signs, so no -0.0."""
+    return _row(((sign, q.k), (sign, q.l), (sign, q.m), (-sign, q.j)))
+
+
+#: (family, j) of the Hardy quadruple whose negated lower slack is B_i, the
+#: four-probability CH form: the equivalent form of the CHSH inequality.
+_CH_FOUR_TERM_QUADRUPLES = ((2, 5), (4, 5), (6, 13), (8, 5))
+
+
 def _build_rows() -> np.ndarray:
     sigma = [_row((1, c) for c in SIGMA_SUPPORTS[i]) for i in (1, 2, 3, 4)]
     prime = [_row((1, c) for c in SIGMA_PRIME_SUPPORTS[i]) for i in (1, 2, 3, 4)]
     delta = [2.0 * row - 1.0 for row in sigma]
-    ch_four = [_row(_CH_FOUR_TERM[i]) for i in (1, 2, 3, 4)]
+    ch_four = [_slack_row(quadruple_for(*fj), -1) for fj in _CH_FOUR_TERM_QUADRUPLES]
     ch_full = [_ch_full_row(row, *via) for via in _MARGINAL_CHOICES for row in delta]
-    hardy = [_row(((1, q.k), (1, q.l), (1, q.m), (-1, q.j))) for q in HARDY_QUADRUPLES]
+    hardy = [_slack_row(q, 1) for q in HARDY_QUADRUPLES]
     return np.array(sigma + prime + delta + ch_four + ch_full + hardy)
 
 

@@ -54,7 +54,7 @@ from .bell import (
 )
 from .boxes import available_boxes, load_box
 from .locality import FreeSetId, complete_from_free_set, constraint_residuals
-from .montecarlo import estimate, simulate, test_inequality, test_signaling
+from .montecarlo import check_alpha, estimate, simulate, test_inequality, test_signaling
 from .quantum import (
     ConvergenceError,
     OptimizerConfig,
@@ -235,6 +235,9 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # argument errors surface before any trial is drawn or file written
+    q = None if args.quadruple is None else _parse_quadruple(args.quadruple)
+    check_alpha(args.alpha)
     b, label = _behavior_from_args(args)
     log = simulate(b, args.n, seed=args.seed, policy=args.policy, n_shards=args.shards)
     if args.out_csv:
@@ -249,12 +252,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "stats": stats.to_json_dict(),
         "signaling": test_signaling(stats, args.alpha).to_json_dict(),
+        "inequality": None if q is None else test_inequality(stats, q, args.alpha).to_json_dict(),
     }
-    if args.quadruple is not None:
-        q = _parse_quadruple(args.quadruple)
-        doc["inequality"] = test_inequality(stats, q, args.alpha).to_json_dict()
-    else:
-        doc["inequality"] = None
     _emit(doc)
     return 0
 

@@ -25,18 +25,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .behavior import DEFAULT_TOL, SIGNALING_ROWS, Behavior
+from .behavior import DEFAULT_TOL, SIGNALING_ROWS, Behavior, cell_of
 
 #: Cells entering each CHSH probability sum; the primed sum uses the complement.
+#: Delta_i carries its -1 on setting block 4 - i (0-based), and Sigma_i holds
+#: the cells whose outcome product equals their block's sign.
 SIGMA_SUPPORTS: dict[int, tuple[int, ...]] = {
-    1: (1, 4, 5, 8, 9, 12, 14, 15),
-    2: (1, 4, 5, 8, 10, 11, 13, 16),
-    3: (1, 4, 6, 7, 9, 12, 13, 16),
-    4: (2, 3, 5, 8, 9, 12, 13, 16),
+    i: tuple(c for c in range(1, 17) if prod(cell_of(c)[2:]) == (-1 if (c - 1) // 4 == 4 - i else 1))
+    for i in (1, 2, 3, 4)
 }
 
 SIGMA_PRIME_SUPPORTS: dict[int, tuple[int, ...]] = {

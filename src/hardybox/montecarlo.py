@@ -498,6 +498,13 @@ class InequalityTestResult:
     to_json_dict = record_to_json
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless 0 < alpha < 0.5, the level `test_inequality` and
+    `test_signaling` accept; the CLI checks it before drawing any trial."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError("alpha must be in (0, 0.5)")
+
+
 def test_inequality(
     stats: SampleStats, q: HardyQuadruple, alpha: float = 0.01
 ) -> InequalityTestResult:
@@ -506,8 +513,7 @@ def test_inequality(
     A bound counts as violated when its estimated slack is below zero by
     more than ``z_alpha`` standard errors (one-sided test at level alpha).
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
+    check_alpha(alpha)
     cells = q.cells()
     blocks = {(c - 1) // 4 for c in cells}
     if len(blocks) != 4:
@@ -589,8 +595,7 @@ class SignalingReport:
 
 def test_signaling(stats: SampleStats, alpha: float = 0.01) -> SignalingReport:
     """Two-proportion pooled z-tests for all eight marginal comparisons."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must be in (0, 0.5)")
+    check_alpha(alpha)
     rows = []
     threshold = alpha / 8.0
     counts = [x for row in stats.counts for x in row]

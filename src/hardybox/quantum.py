@@ -2,10 +2,10 @@
 
 A pure two-qubit state (four complex amplitudes in the z-basis product order
 |++>, |+->, |-+>, |-->) together with one Bloch measurement direction per
-setting induces a behavior through the Born rule.  The scalar kernel
-`_born_cells` computes its probabilities for `born_behavior`; `_born_amps`
-gives the searches the amplitudes of the few cells they need, with their
-derivatives in the search angles.  The searches:
+setting induces a behavior through the Born rule.  One scalar kernel,
+`_born_amps`, computes cell amplitudes: all sixteen and nothing else for
+`born_behavior`, which squares them; for the searches, the few cells they
+need together with their derivatives in the search angles.  The searches:
 
 * `maximize_hardy`: the largest pj compatible with pk = pl = pm = 0 for one
   of the 64 cell quadruples.  The quantum optimum is the fifth power of the
@@ -148,66 +148,51 @@ def _eigenstates(theta: float, phi: float) -> dict[int, tuple[complex, complex]]
 _CELL_COORDS = {c: cell_of(c) for c in range(1, 17)}
 
 
-def _amp(a: Sequence[complex], b: Sequence[complex], psi: Sequence[complex]) -> complex:
-    """<e_a x e_b|psi>, with ``a`` and ``b`` the conjugated vectors e_a*, e_b*."""
-    return a[0] * (b[0] * psi[0] + b[1] * psi[1]) + a[1] * (b[0] * psi[2] + b[1] * psi[3])
-
-
-def _born_cells(
-    psi: Sequence[complex], dirs: Sequence[tuple[float, float]], cells: Sequence[int]
-) -> list[float]:
-    """Born probabilities of ``cells`` for amplitudes ``psi``.
-
-    ``dirs`` holds the (theta, phi) of a1, a2, b1, b2.  Plain Python on
-    purpose: on sixteen cells or fewer numpy's per-call overhead dominates.
-    """
-    # <e_a x e_b| needs conjugated eigenvectors, which are those at -phi
-    bases = [_eigenstates(theta, -phi) for theta, phi in dirs]
-    coords = (_CELL_COORDS[c] for c in cells)
-    return [abs(_amp(bases[j - 1][m], bases[1 + k][n], psi)) ** 2 for j, k, m, n in coords]
-
-
 def _born_amps(
     psi: Sequence[complex],
-    dpsi: Sequence[Sequence[complex]],
+    dpsi: Sequence[Sequence[complex]] | None,
     dirs: Sequence[tuple[float, float]],
     cells: Sequence[int],
     real: bool,
 ) -> tuple[list[complex], list[list[complex]]]:
-    """Amplitudes <e_a x e_b|psi> of ``cells`` and their derivatives.
+    """Amplitudes <e_a x e_b|psi> of ``cells``; with ``dpsi``, their derivatives.
 
-    ``dpsi`` holds d(psi)/dx per state parameter.  A derivative row lists the
-    state parameters, then theta (and phi unless ``real``) of a1, a2, b1, b2.
-    Each entry is the amplitude with one factor differentiated: d(psi), or an
-    eigenvector, where d e_m/d theta = -(m/2) e_{-m} (the cell with that
-    party's outcome flipped) and phi enters e_m[1] only, as e^{i phi}.
+    The one Born-rule kernel: `born_behavior` passes ``dpsi=None`` and gets
+    amplitudes only; the searches pass d(psi)/dx per state parameter.
+    ``dirs`` holds the (theta, phi) of a1, a2, b1, b2.  A derivative row
+    lists the state parameters, then theta (and phi unless ``real``) of a1,
+    a2, b1, b2.  Each entry is the amplitude with one factor differentiated:
+    d(psi), or an eigenvector, where d e_m/d theta = -(m/2) e_{-m} (the cell
+    with that party's outcome flipped) and phi enters e_m[1] only, as e^{i phi}.
 
-    Every entry is written out in `_amp`'s operation order, with B's vector
-    contracted into psi once per cell and shared by the amplitude and the
-    A-setting derivative.  With float inputs (real mode, a real state) the
-    whole pass runs in float arithmetic, whose results equal the real parts
-    of the same pass on complex numbers with zero imaginary parts bit for bit
-    (see the module docstring).
+    Every entry keeps the order a0 * (b0 * p0 + b1 * p1) + a1 * (...), B's
+    vector contracted into psi once per cell.  Float inputs (real mode, a
+    real state) give the real parts of the complex pass bit for bit (see
+    the module docstring).  Plain Python: numpy's per-call overhead dominates.
     """
-    bases = [_eigenstates(theta, -phi) for theta, phi in dirs]  # conjugated, as in _born_cells
-    n_psi, step = len(dpsi), 1 if real else 2
+    # <e_a x e_b| needs conjugated eigenvectors, which are those at -phi
+    bases = [_eigenstates(theta, -phi) for theta, phi in dirs]
+    n_psi, step = len(dpsi or ()), 1 if real else 2
     p0, p1, p2, p3 = psi
     amps, jac = [], []
     for c in cells:
         j, k, m, n = _CELL_COORDS[c]
         ea, eb = bases[j - 1], bases[1 + k]
         (a0, a1), (b0, b1) = ea[m], eb[n]
-        (f0, f1), (g0, g1) = ea[-m], eb[-n]
         u0, u1 = b0 * p0 + b1 * p1, b0 * p2 + b1 * p3
+        amps.append(a0 * u0 + a1 * u1)
+        if dpsi is None:
+            continue
+        (f0, f1), (g0, g1) = ea[-m], eb[-n]
         row = [a0 * (b0 * d0 + b1 * d1) + a1 * (b0 * d2 + b1 * d3) for d0, d1, d2, d3 in dpsi]
         row += [0.0] * (4 * step)
         col_a, col_b = n_psi + step * (j - 1), n_psi + step * (1 + k)
         row[col_a] = -0.5 * m * (f0 * u0 + f1 * u1)
         row[col_b] = -0.5 * n * (a0 * (g0 * p0 + g1 * p1) + a1 * (g0 * p2 + g1 * p3))
-        if not real:
-            row[col_a + 1] = _amp((0.0, -1j * a1), (b0, b1), psi)
-            row[col_b + 1] = _amp((a0, a1), (0.0, -1j * b1), psi)
-        amps.append(a0 * u0 + a1 * u1)
+        if not real:  # d/d phi of a conjugated (v0, v1) is (0, -i v1); 0.0 * keeps zero signs
+            ia, ib = -1j * a1, -1j * b1
+            row[col_a + 1] = 0.0 * u0 + ia * u1
+            row[col_b + 1] = a0 * (0.0 * p0 + ib * p1) + a1 * (0.0 * p2 + ib * p3)
         jac.append(row)
     return amps, jac
 
@@ -221,7 +206,8 @@ def born_behavior(state: TwoQubitState, settings: MeasurementSettings) -> Behavi
     if dev > 1e-9:
         raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
     dirs = [(d.theta, d.phi) for d in (settings.a1, settings.a2, settings.b1, settings.b2)]
-    return Behavior(tuple(_born_cells(state.amplitudes, dirs, range(1, 17))))
+    amps, _ = _born_amps(state.amplitudes, None, dirs, range(1, 17), real=False)
+    return Behavior(tuple(abs(a) ** 2 for a in amps))
 
 
 #: Largest ``OptimizerConfig.starts``; checked before any start is drawn.

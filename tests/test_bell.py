@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardybox import bell
 from hardybox.behavior import Behavior, correlation_vector, is_no_signaling, uniform_behavior
 from hardybox.bell import (
     HARDY_QUADRUPLES,
@@ -125,6 +126,14 @@ class TestSigmaDelta:
             assert len(SIGMA_SUPPORTS[i]) == 8
             assert sorted(SIGMA_SUPPORTS[i] + SIGMA_PRIME_SUPPORTS[i]) == list(range(1, 17))
 
+    def test_supports_match_typed_table(self):
+        assert SIGMA_SUPPORTS == {
+            1: (1, 4, 5, 8, 9, 12, 14, 15),
+            2: (1, 4, 5, 8, 10, 11, 13, 16),
+            3: (1, 4, 6, 7, 9, 12, 13, 16),
+            4: (2, 3, 5, 8, 9, 12, 13, 16),
+        }
+
     def test_pr_values(self):
         sv = sigma_values(pr_box())
         assert sv.sigma == pytest.approx((4.0, 2.0, 2.0, 2.0), abs=1e-15)
@@ -167,6 +176,34 @@ class TestChForms:
                 for bm in (1, 2):
                     full = ch_values_full(b, a_marg_via=am, b_marg_via=bm)
                     assert full.b == pytest.approx(cv.b, abs=1e-10)
+
+    def test_four_term_rows_match_typed_table(self):
+        # the four-probability CH forms as they were once typed by hand
+        typed = {
+            1: ((-1, 2), (+1, 5), (-1, 11), (-1, 13)),
+            2: ((-1, 2), (+1, 5), (-1, 9), (-1, 15)),
+            3: ((-1, 3), (-1, 5), (-1, 10), (+1, 13)),
+            4: ((-1, 1), (+1, 5), (-1, 10), (-1, 15)),
+        }
+        want = np.zeros((4, 16))
+        for i, terms in typed.items():
+            for coefficient, cell in terms:
+                want[i - 1, cell - 1] = coefficient
+        assert bell._ROWS[bell._CH_FOUR].tobytes() == want.tobytes()
+        assert not np.any(np.signbit(bell._ROWS[bell._ROWS == 0.0]))  # no -0.0
+
+    def test_four_term_is_negated_hardy_lower_slack(self):
+        rng = np.random.default_rng(515)
+        quads = [quadruple_for(*fj) for fj in ((2, 5), (4, 5), (6, 13), (8, 5))]
+        index = [HARDY_QUADRUPLES.index(q) for q in quads]
+        for n in range(60):
+            if n % 2:
+                b = random_no_signaling_behavior(rng)
+            else:
+                b = Behavior(tuple(rng.dirichlet(np.ones(4), size=4).reshape(16)))
+                assert not is_no_signaling(b, tol=1e-3)
+            lower = [hardy_check(b).checks[i].lower_slack for i in index]
+            assert ch_values(b).b == pytest.approx([-x for x in lower], abs=1e-15)
 
     def test_full_form_disagrees_when_signaling(self):
         four = ch_values(kwiat_hardy_box()).b

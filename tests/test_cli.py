@@ -14,7 +14,7 @@ from hardybox import cli
 from hardybox.behavior import save_behavior, uniform_behavior
 from hardybox.boxes import build_box, load_box
 from hardybox.cli import main
-from hardybox.montecarlo import MAX_TRIALS
+from hardybox.montecarlo import MAX_TRIALS, simulate
 
 
 def run(capsys, *argv):
@@ -196,6 +196,30 @@ class TestSimulate:
     def test_bad_quadruple(self, capsys):
         code, _, _ = run(capsys, "simulate", "--box", "pr", "--n", "10", "--quadruple", "1-13")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--quadruple", "0:0", "error in quadruple: bad quadruple '0:0'"),
+        ("--quadruple", "1-13", "error in quadruple: bad quadruple '1-13'"),
+        ("--alpha", "0.7", "error: alpha must be in (0, 0.5)"),
+        ("--alpha", "0", "error: alpha must be in (0, 0.5)"),
+        ("--alpha", "nan", "error: alpha must be in (0, 0.5)"),
+    ])
+    def test_bad_arguments_rejected_before_drawing(
+        self, capsys, monkeypatch, tmp_path, flag, value, message
+    ):
+        drawn = []
+
+        def recording_simulate(*args, **kwargs):
+            drawn.append(args[1])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", recording_simulate)
+        csv_path = tmp_path / "bad.csv"
+        argv = ("simulate", "--box", "pr", "--n", "1000", flag, value, "--out-csv", str(csv_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(message), err
+        assert drawn == [] and not csv_path.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed(self, capsys, seed):

@@ -36,7 +36,6 @@ from hardybox.quantum import (
     MeasurementSettings,
     OptimizerConfig,
     TwoQubitState,
-    _born_cells,
     _SearchSpace,
     all_z_settings,
     born_behavior,
@@ -195,11 +194,55 @@ class TestAmplitudeKernel:
                       - np.array(space.amplitudes(x - e, cells)[0])) / (2 * h)
                 assert np.max(np.abs(fd - jac[:, i])) <= 1e-6, (name, i)
             # the amplitudes square to the probability kernel's cells
-            psi, _ = space.state_of(x.tolist())
-            probs = _born_cells(psi, space.directions_of(x), cells)
+            probs = [born_behavior(*space.unpack(x)).p(c) for c in cells]
             assert np.allclose(np.abs(amps) ** 2, probs, atol=1e-14)
             if not space.complex_amps:
                 assert max(abs(complex(a).imag) for a in amps) <= 1e-15
+
+
+# The probability kernel that computed `born_behavior` before it read its
+# amplitudes from `_born_amps`, kept verbatim as the reference it must equal
+# bit for bit.
+def _cells_reference_eigenstates(theta, phi):
+    half = 0.5 * theta
+    phase = cmath.exp(1j * phi) if phi else 1.0
+    cos, sin = math.cos(half), math.sin(half)
+    return {1: (cos, phase * sin), -1: (sin, -phase * cos)}
+
+
+def _cells_reference_amp(a, b, psi):
+    return a[0] * (b[0] * psi[0] + b[1] * psi[1]) + a[1] * (b[0] * psi[2] + b[1] * psi[3])
+
+
+def _cells_reference_born_cells(psi, dirs, cells):
+    # <e_a x e_b| needs conjugated eigenvectors, which are those at -phi
+    bases = [_cells_reference_eigenstates(theta, -phi) for theta, phi in dirs]
+    coords = (cell_of(c) for c in cells)
+    amp = _cells_reference_amp
+    return [abs(amp(bases[j - 1][m], bases[1 + k][n], psi)) ** 2 for j, k, m, n in coords]
+
+
+class TestBornBehaviorPinned:
+    def assert_pinned(self, state, settings):
+        dirs = [(d.theta, d.phi) for d in (settings.a1, settings.a2, settings.b1, settings.b2)]
+        want = _cells_reference_born_cells(state.amplitudes, dirs, range(1, 17))
+        got = born_behavior(state, settings).probs
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("complex_state", [True, False])
+    @pytest.mark.parametrize("azimuths", [True, False])
+    def test_seeded_draws(self, complex_state, azimuths):
+        rng = np.random.default_rng(2 * complex_state + azimuths)
+        for _ in range(500):
+            v = rng.normal(size=4) + (1j * rng.normal(size=4) if complex_state else 0.0)
+            state = TwoQubitState(tuple(complex(a) for a in v / np.linalg.norm(v)))
+            thetas = rng.uniform(0.0, 2.0 * math.pi, 4)
+            phis = rng.uniform(0.0, 2.0 * math.pi, 4) if azimuths else np.zeros(4)
+            dirs = (BlochDirection(float(t), float(f)) for t, f in zip(thetas, phis))
+            self.assert_pinned(state, MeasurementSettings(*dirs))
+
+    def test_singlet_all_z(self):
+        self.assert_pinned(singlet(), all_z_settings())
 
 
 # The complex-arithmetic kernel and the numpy evaluator that the float pass
