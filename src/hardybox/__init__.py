@@ -131,118 +131,8 @@ from .quantum import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # behavior
-    "DEFAULT_TOL",
-    "OUTCOME_ORDER",
-    "Behavior",
-    "CorrelationVector",
-    "Marginals",
-    "Party",
-    "SchemaError",
-    "behavior_from_json_dict",
-    "behavior_to_json_dict",
-    "block_sums",
-    "cell_of",
-    "correlation",
-    "correlation_vector",
-    "index_of",
-    "is_no_signaling",
-    "is_normalized",
-    "is_valid",
-    "load_behavior",
-    "marginals",
-    "save_behavior",
-    "uniform_behavior",
-    # locality
-    "ConstraintResiduals",
-    "FreeSetId",
-    "NsBoundResult",
-    "NsBoundTriple",
-    "SideCheck",
-    "complete_from_free_set",
-    "completion_roundtrip",
-    "completion_signs",
-    "constraint_matrix",
-    "constraint_residuals",
-    "constraint_rhs",
-    "free_values_of",
-    "nonneg_side_checks",
-    "ns_bound_check",
-    "random_no_signaling_behavior",
-    "system_rank",
-    # bell
-    "HARDY_QUADRUPLES",
-    "SIGMA_PRIME_SUPPORTS",
-    "SIGMA_SUPPORTS",
-    "ChReport",
-    "ChshReport",
-    "ChValues",
-    "DeltaValues",
-    "EquivalenceAudit",
-    "HardyQuadruple",
-    "InequalityCheck",
-    "SigmaShift",
-    "SigmaValues",
-    "ViolationReport",
-    "ch_check",
-    "ch_values",
-    "ch_values_full",
-    "chsh_check",
-    "delta_values",
-    "enumerate_hardy_inequalities",
-    "equivalence_audit",
-    "hardy_check",
-    "hardy_witness",
-    "local_deterministic_behavior",
-    "local_vertices",
-    "quadruple_for",
-    "sigma_shift_of_hardy",
-    "sigma_values",
-    # quantum
-    "HARDY_MAX_PROBABILITY",
-    "SIGMA_QUANTUM_MAX",
-    "SIGMA_QUANTUM_MIN",
-    "BlochDirection",
-    "ConvergenceError",
-    "HardyOptimum",
-    "MeasurementSettings",
-    "OptimizerConfig",
-    "PerfectCorrelationReport",
-    "SearchDiagnostics",
-    "SigmaOptimum",
-    "TwoQubitState",
-    "all_z_settings",
-    "born_behavior",
-    "maximize_hardy",
-    "maximize_sigma",
-    "singlet",
-    "singlet_perfect_correlation_check",
-    # montecarlo
-    "SETTINGS_SUBSTREAM",
-    "InequalityTestResult",
-    "SampleStats",
-    "SignalingReport",
-    "SignalingTestRow",
-    "TrialLog",
-    "TrialRecord",
-    "block_rng",
-    "estimate",
-    "settings_sequence",
-    "simulate",
-    "test_inequality",
-    "test_signaling",
-    # boxes
-    "BOX_NAMES",
-    "DATA_DIR_ENV",
-    "NamedBox",
-    "available_boxes",
-    "build_box",
-    "hardy_pattern_a_box",
-    "hardy_pattern_b_box",
-    "kwiat_hardy_box",
-    "load_box",
-    "mermin_box",
-    "pr_box",
+#: every imported public name; the submodules, bound here too, are left out
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and type(value) is not type(behavior)
 ]

@@ -166,18 +166,23 @@ class SignalingRow(NamedTuple):
     far2: tuple[int, int]
 
 
+def _marginal_cells(near: int, setting: int, outcome: int, far_setting: int) -> tuple[int, int]:
+    # cells where party ``near`` (0: A, 1: B) saw (setting, outcome), the other party far_setting
+    return tuple(  # type: ignore[return-value]
+        c for c in range(1, 17)
+        if cell_of(c)[near::2] == (setting, outcome) and cell_of(c)[1 - near] == far_setting
+    )
+
+
 #: The eight no-signaling conditions, ordered A1+, A1-, A2+, A2-, B1+, B1-,
 #: B2+, B2-: the marginal of (party, setting, outcome) summed over the cells
-#: measured under far setting 1 equals the sum under far setting 2.
-SIGNALING_ROWS: tuple[SignalingRow, ...] = (
-    SignalingRow(Party.A, 1, 1, (1, 2), (5, 6)),
-    SignalingRow(Party.A, 1, -1, (3, 4), (7, 8)),
-    SignalingRow(Party.A, 2, 1, (9, 10), (13, 14)),
-    SignalingRow(Party.A, 2, -1, (11, 12), (15, 16)),
-    SignalingRow(Party.B, 1, 1, (1, 3), (9, 11)),
-    SignalingRow(Party.B, 1, -1, (2, 4), (10, 12)),
-    SignalingRow(Party.B, 2, 1, (5, 7), (13, 15)),
-    SignalingRow(Party.B, 2, -1, (6, 8), (14, 16)),
+#: measured under far setting 1 equals the sum under far setting 2.  The
+#: cells are derived from the cell numbering (`cell_of`).
+SIGNALING_ROWS: tuple[SignalingRow, ...] = tuple(
+    SignalingRow(party, s, o, _marginal_cells(near, s, o, 1), _marginal_cells(near, s, o, 2))
+    for near, party in enumerate(Party)
+    for s in (1, 2)
+    for o in (1, -1)
 )
 
 

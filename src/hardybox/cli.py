@@ -22,6 +22,7 @@ when the reader closes stdout before the output is written, as in
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -239,6 +240,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     q = None if args.quadruple is None else _parse_quadruple(args.quadruple)
     check_alpha(args.alpha)
     b, label = _behavior_from_args(args)
+    if args.out_csv:  # what opening it would raise after the draw, raised before it
+        try:  # the trailing separator makes a folder that is a file fail as open does
+            os.stat(os.path.join(os.path.dirname(args.out_csv) or ".", ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, args.out_csv) from None
+        if os.path.isdir(args.out_csv):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), args.out_csv)
     log = simulate(b, args.n, seed=args.seed, policy=args.policy, n_shards=args.shards)
     if args.out_csv:
         log.to_csv(args.out_csv)

@@ -15,9 +15,11 @@ determine the remaining eight in closed form.  This module carries:
   (`ns_bound_check`) and a few auxiliary nonnegativity consequences
   (`nonneg_side_checks`).
 
-Each completion's sign table is solved from the constraint system at import;
-the import fails unless every solved cell comes out as (1 + sum of +-1 times
-the free cells) / 2.
+Each completion is solved from the constraint system at import into one
+affine table, cells = const + free @ m; the import fails unless every solved
+cell comes out as (1 + sum of +-1 times the free cells) / 2.  The sign view
+(`completion_signs`, `FreeSetId.solved_cells`, `complete_from_free_set`) is
+read from those tables once, at import.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class FreeSetId(enum.Enum):
 
     @property
     def solved_cells(self) -> tuple[int, ...]:
-        return tuple(sorted(_COMPLETIONS[self]))
+        return tuple(_SIGNS[self])
 
     @cached_property
     def inverse(self) -> "FreeSetId":
@@ -135,32 +137,39 @@ class FreeSetId(enum.Enum):
         return self.value.endswith("p")
 
 
-def _solve_completion(variant: FreeSetId) -> dict[int, tuple[int, ...]]:
+def _solve_completion(variant: FreeSetId) -> tuple[np.ndarray, np.ndarray]:
     # Solve the constraint system for the solved cells as c + A @ free; every
     # constant c must be 1/2 and every entry of 2*A an integer (the sign).
-    free = variant.free_cells
-    solved = [c for c in range(1, 17) if c not in free]
-    m_solved = _MATRIX[:, [c - 1 for c in solved]]
-    m_free = _MATRIX[:, [c - 1 for c in free]]
-    sol = np.linalg.lstsq(m_solved, np.column_stack([_RHS, -m_free]), rcond=None)[0]
-    const, twice = sol[:, 0], 2.0 * sol[:, 1:]
+    free = [c - 1 for c in variant.free_cells]
+    solved = [c for c in range(16) if c not in free]
+    sol = np.linalg.lstsq(_MATRIX[:, solved], np.column_stack([_RHS, -_MATRIX[:, free]]), rcond=None)[0]
+    twice = 2.0 * sol[:, 1:]
     signs = np.rint(twice)
-    if np.abs(const - 0.5).max() > 1e-12 or np.abs(twice - signs).max() > 1e-12:
+    if np.abs(sol[:, 0] - 0.5).max() > 1e-12 or np.abs(twice - signs).max() > 1e-12:
         raise AssertionError(f"completion {variant.value} is not (1 + signed free sum) / 2")
-    return {c: tuple(int(s) for s in row) for c, row in zip(solved, signs)}
+    const = np.zeros(16)
+    m = np.zeros((8, 16))
+    m[range(8), free] = 1.0
+    const[solved] = 0.5
+    m[:, solved] = signs.T / 2.0
+    return const, m
 
 
-# For variant v, solved cell s takes the value
-#   p_s = (1 + sum_i sign_i * p_free[i]) / 2
-# with p_free in the order given by v.free_cells.
-_COMPLETIONS: dict[FreeSetId, dict[int, tuple[int, ...]]] = {
+#: One affine table per completion: cells = const + free @ m, free cells in
+#: the order of v.free_cells.  Solved cell s is (1 + sum_i sign_i free_i) / 2;
+#: `_SIGNS` holds those signs, read from the tables.
+_COMPLETIONS: dict[FreeSetId, tuple[np.ndarray, np.ndarray]] = {
     v: _solve_completion(v) for v in FreeSetId
+}
+_SIGNS: dict[FreeSetId, dict[int, tuple[int, ...]]] = {
+    v: {c + 1: tuple(int(x) for x in 2.0 * m[:, c]) for c in range(16) if const[c]}
+    for v, (const, m) in _COMPLETIONS.items()
 }
 
 
 def completion_signs(variant: FreeSetId) -> dict[int, tuple[int, ...]]:
     """Sign table of one completion (solved cell -> signs over the free cells)."""
-    return {k: v for k, v in _COMPLETIONS[variant].items()}
+    return dict(_SIGNS[variant])
 
 
 def complete_from_free_set(free_values: Sequence[float], variant: FreeSetId) -> Behavior:
@@ -177,7 +186,7 @@ def complete_from_free_set(free_values: Sequence[float], variant: FreeSetId) -> 
     cells = [0.0] * 16
     for cell, value in zip(variant.free_cells, free_values):
         cells[cell - 1] = value
-    for cell, signs in _COMPLETIONS[variant].items():
+    for cell, signs in _SIGNS[variant].items():
         acc = 1.0
         for sign, value in zip(signs, free_values):
             acc += sign * value
@@ -204,7 +213,7 @@ def completion_roundtrip(b: Behavior, variant: FreeSetId, tol: float = DEFAULT_T
         )
     cells = np.asarray(b.probs)
     for v in (variant, variant.inverse):  # each completion one product with its table
-        const, m = _AFFINE[v]
+        const, m = _COMPLETIONS[v]
         cells = const + cells[[c - 1 for c in v.free_cells]] @ m
     return Behavior(cells.tolist())
 
@@ -283,21 +292,6 @@ def nonneg_side_checks(b: Behavior, tol: float = DEFAULT_TOL) -> tuple[SideCheck
     )
 
 
-def _affine_completion(variant: FreeSetId) -> tuple[np.ndarray, np.ndarray]:
-    # cells = const + free @ m, read off the sign table: a free cell copies
-    # its value, a solved cell is 1/2 plus half its signed free sum
-    const = np.zeros(16)
-    m = np.zeros((8, 16))
-    m[range(8), [c - 1 for c in variant.free_cells]] = 1.0
-    for cell, signs in _COMPLETIONS[variant].items():
-        const[cell - 1] = 0.5
-        m[:, cell - 1] = np.array(signs) / 2.0
-    return const, m
-
-
-_AFFINE: dict[FreeSetId, tuple[np.ndarray, np.ndarray]] = {
-    v: _affine_completion(v) for v in FreeSetId
-}
 #: candidates screened per matrix product in `random_no_signaling_behavior`
 _SCREEN_BLOCK = 256
 #: screen margin; far above the rounding of the product (below 1e-15), so no
@@ -331,7 +325,7 @@ def random_no_signaling_behavior(
     bit_generator = rng.bit_generator
     saved = bit_generator.state
     screen = np.random.Generator(bit_generator)
-    const, m = _AFFINE[variant]
+    const, m = _COMPLETIONS[variant]
     tried, found = 0, None
     while found is None and tried < max_tries:
         free = screen.random((min(_SCREEN_BLOCK, max_tries - tried), 8))

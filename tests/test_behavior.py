@@ -11,8 +11,10 @@ from hardybox.behavior import (
     DEFAULT_TOL,
     OUTCOME_ORDER,
     Behavior,
+    SIGNALING_ROWS,
     Party,
     SchemaError,
+    SignalingRow,
     behavior_from_json_dict,
     behavior_to_json_dict,
     block_sums,
@@ -134,6 +136,25 @@ class TestMarginals:
 
     def test_party_enum(self):
         assert Party.A.value != Party.B.value
+
+
+# The eight no-signaling rows typed out cell by cell: the derived table must
+# keep their cells and their order (constraint rows, test_signaling rows, JSON).
+TYPED_SIGNALING_ROWS = (
+    SignalingRow(Party.A, 1, 1, (1, 2), (5, 6)),
+    SignalingRow(Party.A, 1, -1, (3, 4), (7, 8)),
+    SignalingRow(Party.A, 2, 1, (9, 10), (13, 14)),
+    SignalingRow(Party.A, 2, -1, (11, 12), (15, 16)),
+    SignalingRow(Party.B, 1, 1, (1, 3), (9, 11)),
+    SignalingRow(Party.B, 1, -1, (2, 4), (10, 12)),
+    SignalingRow(Party.B, 2, 1, (5, 7), (13, 15)),
+    SignalingRow(Party.B, 2, -1, (6, 8), (14, 16)),
+)
+
+
+def test_signaling_rows_match_typed_table():
+    assert SIGNALING_ROWS == TYPED_SIGNALING_ROWS
+    assert repr(SIGNALING_ROWS) == repr(TYPED_SIGNALING_ROWS)
 
 
 class TestCorrelation:

@@ -221,6 +221,23 @@ class TestSimulate:
         assert err.startswith(message), err
         assert drawn == [] and not csv_path.exists()
 
+    @pytest.mark.parametrize("name", ["no_such_dir/x.csv", "a_file/x.csv", ""])
+    def test_unopenable_out_csv_rejected_before_drawing(self, capsys, monkeypatch, tmp_path, name):
+        # a path in a missing directory, one under a file, and a directory:
+        # the message opening the file gives, and neither a draw nor a file
+        def refuse(*args, **kwargs):
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        (tmp_path / "a_file").write_bytes(b"")
+        path = tmp_path / name
+        with pytest.raises(OSError) as opened:
+            open(path, "wb")
+        code, out, err = run(capsys, "simulate", "--box", "pr", "--n", "1000", "--out-csv", str(path))
+        assert code == 2 and out == ""
+        assert err == f"cannot open {path}: {opened.value.strerror}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed(self, capsys, seed):
         code, out, err = run(capsys, "simulate", "--box", "mermin", "--n", "1000", "--seed", seed)
@@ -373,6 +390,19 @@ def test_not_utf8_names_root(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error in $: ")
     assert "not valid UTF-8" in err
+
+
+def test_all_holds_every_public_name():
+    names = hardybox.__all__
+    module = type(hardybox)
+    assert len(names) == len(set(names)) == 107
+    assert [n for n in names if n.startswith("_")] == ["__version__"]
+    assert not [n for n in names if isinstance(getattr(hardybox, n), module)]
+    public = {n for n, v in vars(hardybox).items() if not n.startswith("_") and type(v) is not module}
+    assert public <= set(names)
+    star: dict = {}
+    exec("from hardybox import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
 
 
 def test_argparse_exit_code_on_unknown_command(capsys):

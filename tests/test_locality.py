@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hardybox.behavior import Behavior, is_no_signaling, is_normalized, is_valid
 from hardybox.boxes import kwiat_hardy_box, mermin_box, pr_box
 from hardybox.locality import (
+    _COMPLETIONS,
     FreeSetId,
     NsBoundTriple,
     complete_from_free_set,
@@ -117,6 +118,32 @@ class TestCompletionSigns:
     def test_sigma_index_and_primed(self):
         assert [v.sigma_index for v in ALL_VARIANTS] == [1, 1, 2, 2, 3, 3, 4, 4]
         assert [v.primed for v in ALL_VARIANTS] == [False, True] * 4
+
+
+def affine_from_signs(variant: FreeSetId) -> tuple[np.ndarray, np.ndarray]:
+    """cells = const + free @ m read off the sign table, one cell at a time."""
+    const = np.zeros(16)
+    m = np.zeros((8, 16))
+    m[range(8), [c - 1 for c in variant.free_cells]] = 1.0
+    for cell, signs in completion_signs(variant).items():
+        const[cell - 1] = 0.5
+        m[:, cell - 1] = np.array(signs) / 2.0
+    return const, m
+
+
+class TestCompletionTables:
+    def test_affine_tables_equal_sign_tables_bytewise(self):
+        for v in ALL_VARIANTS:
+            for got, want in zip(_COMPLETIONS[v], affine_from_signs(v)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+    def test_sign_view_is_a_copy(self):
+        for v in ALL_VARIANTS:
+            before = completion_signs(v)
+            completion_signs(v).clear()
+            assert completion_signs(v) == before
+            assert all(type(c) is int and all(type(s) is int for s in row) for c, row in before.items())
 
 
 def oracle_completion(free_values, variant: FreeSetId) -> np.ndarray:
