@@ -241,11 +241,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check_alpha(args.alpha)
     b, label = _behavior_from_args(args)
     if args.out_csv:  # what opening it would raise after the draw, raised before it
+        # open finds the folder first; a path ending in a separator then
+        # names a directory, whether or not it exists
+        name = args.out_csv.rstrip(os.sep + (os.altsep or ""))
         try:  # the trailing separator makes a folder that is a file fail as open does
-            os.stat(os.path.join(os.path.dirname(args.out_csv) or ".", ""))
+            os.stat(os.path.join(os.path.dirname(name) or ".", ""))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, args.out_csv) from None
-        if os.path.isdir(args.out_csv):
+        if name != args.out_csv or os.path.isdir(name):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), args.out_csv)
     log = simulate(b, args.n, seed=args.seed, policy=args.policy, n_shards=args.shards)
     if args.out_csv:

@@ -22,9 +22,12 @@ Both run `_extremize`: one SLSQP descent (Kraft, DFVLR-FB 88-28 (1988))
 with analytic gradients from each of a set of uniform random starts drawn by
 numpy's generator with a fixed seed, so results reproduce; the zeros are
 equality constraints on the cell amplitudes, smooth trig polynomials of the
-angles.  `scipy.optimize` supplies the solver (`minimize`) and is imported
-on the first search, so importing the package, and every command that does
-not search, runs without scipy.
+angles.  scipy supplies the solver: with scipy >= 1.16 its SLSQP kernel,
+`scipy.optimize._slsqplib.slsqp`, driven here directly (`_descend`), and
+with older scipy `scipy.optimize.minimize`, which takes the same steps
+through its own Python layer.  It is imported on the first search, so
+importing the package, and every command that does not search, runs
+without scipy.
 
 In real mode (the default) every search point is one pass in float
 arithmetic: the state, the eigenvectors and hence the amplitudes are real
@@ -364,7 +367,11 @@ class SearchDiagnostics:
 
     ``kernel_evaluations`` counts `_born_amps` calls over all descents;
     ``max_constrained_cell`` is the largest constrained probability at the
-    returned point (0 without constraints).
+    returned point (0 without constraints); ``stationarity_residual`` is
+    the KKT residual there, max |grad f - J^T lambda| over the search
+    angles, with f the minimized objective, J the Jacobian of the zero
+    amplitudes (none for a sigma search) and lambda their least-squares
+    multipliers.
     """
 
     starts_tried: int
@@ -372,6 +379,7 @@ class SearchDiagnostics:
     winning_start: int
     kernel_evaluations: int
     max_constrained_cell: float
+    stationarity_residual: float
 
     to_json_dict = record_to_json
 
@@ -381,6 +389,16 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
+
+
+@functools.cache
+def _slsqp_kernel() -> Callable | None:
+    """scipy's SLSQP kernel (scipy >= 1.16), or None where scipy lacks it."""
+    try:
+        from scipy.optimize._slsqplib import slsqp
+    except ImportError:  # also without scipy: `minimize` then names the missing module
+        return None
+    return slsqp
 
 
 # SLSQP iteration cap and stopping tolerance of each descent
@@ -453,6 +471,63 @@ def _evaluator(
     return evaluate
 
 
+def _descend(evaluate: Callable, x0: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One SLSQP descent from ``x0``: the end point and whether SLSQP succeeded.
+
+    ``evaluate`` is an `_evaluator`; its zero amplitudes are the equality
+    constraints.  The kernel talks by reverse communication: each call
+    returns with ``mode`` 1 to ask for the value and constraints at ``x``,
+    -1 for the gradient and Jacobian, 0 on success and anything else on
+    failure.  This loop passes it exactly what `scipy.optimize.minimize`
+    passes (state, workspace sizes, NaN bounds for none), so a descent takes
+    the same steps bit for bit, without minimize's Python layer, which costs
+    more than the kernel itself.  Where scipy lacks the kernel the descent is
+    `minimize`.
+    """
+    slsqp = _slsqp_kernel()
+    (fx, g), zeros, jac, _ = evaluate(x0.tobytes())
+    n, m = len(x0), len(zeros)
+    if slsqp is None:
+        constraints = [{
+            "type": "eq",
+            "fun": lambda x: evaluate(x.tobytes())[1],
+            "jac": lambda x: evaluate(x.tobytes())[2],
+        }] if m else []
+        res = minimize(
+            lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
+            constraints=constraints, options={"maxiter": _MAXITER, "ftol": _FTOL},
+        )
+        return res.x, bool(res.success)
+    state = {
+        "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+        "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL, "exact": 0, "inconsistent": 0,
+        "reset": 0, "iter": 0, "itermax": _MAXITER, "line": 0, "m": m, "meq": m, "mode": 0, "n": n,
+    }
+    # scipy's workspace formula with every constraint an equality
+    size = n * (n + 1) // 2 + 2 * n * (n + 1) + 8 * n * n + 35 * n - 2 * m * n + 2 * m + 28
+    buffer, indices = np.zeros(size), np.zeros(m + 2 * n + 2, dtype=np.int32)
+    mult, lower, upper = np.zeros(m + 2 * n + 2), np.full(n, np.nan), np.full(n, np.nan)
+    x, d, C = np.array(x0), np.zeros(max(1, m)), np.zeros((max(1, m), n), order="F")
+    d[:m], C[:m] = zeros, jac.reshape(m, n)  # a sigma search has no constraint rows
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, lower, upper, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:
+            (fx, _), d[:m], _, _ = evaluate(x.tobytes())
+        elif mode == -1:
+            (_, g), _, jac, _ = evaluate(x.tobytes())
+            C[:m] = jac.reshape(m, n)
+        else:
+            return x, mode == 0
+
+
+def _stationarity_residual(grad: np.ndarray, jac: np.ndarray) -> float:
+    """max |grad - jac^T lambda| with lambda the least-squares multipliers."""
+    jac = jac.reshape(-1, len(grad))  # a sigma search has no constraint rows
+    multipliers = np.linalg.lstsq(jac.T, grad, rcond=None)[0]
+    return float(np.max(np.abs(grad - jac.T @ multipliers)))
+
+
 def _extremize(
     space: _SearchSpace,
     objective_cells: Sequence[int],
@@ -472,19 +547,11 @@ def _extremize(
     no descent qualifies.
     """
     evaluate = _evaluator(space, objective_cells, zero_cells, sign)
-    constraints = [{
-        "type": "eq",
-        "fun": lambda x: evaluate(x.tobytes())[1],
-        "jac": lambda x: evaluate(x.tobytes())[2],
-    }] if zero_cells else []
 
     def descend(x0: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
-        res = minimize(
-            lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
-            constraints=constraints, options={"maxiter": _MAXITER, "ftol": _FTOL},
-        )
-        (value, _), _, _, resid = evaluate(res.x.tobytes())
-        return res.x, value, resid, bool(res.success) and resid <= cfg.constraint_tol
+        x, success = _descend(evaluate, x0)
+        (value, _), _, _, resid = evaluate(x.tobytes())
+        return x, value, resid, success and resid <= cfg.constraint_tol
 
     results = [descend(x0) for x0 in _starts(space, cfg.starts, cfg.seed)]
     feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
@@ -495,13 +562,16 @@ def _extremize(
         )
     _, winner = min(feasible)
     x, _, resid, _ = results[winner]
+    evaluations = evaluate.cache_info().misses  # before the winner is evaluated again
+    (_, grad), _, jac, _ = evaluate(x.tobytes())
     state, settings = space.unpack(x)
     return state, settings, born_behavior(state, settings), SearchDiagnostics(
         starts_tried=cfg.starts,
         starts_feasible=len(feasible),
         winning_start=winner,
-        kernel_evaluations=evaluate.cache_info().misses,
+        kernel_evaluations=evaluations,
         max_constrained_cell=resid,
+        stationarity_residual=_stationarity_residual(grad, jac),
     )
 
 

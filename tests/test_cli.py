@@ -238,6 +238,25 @@ class TestSimulate:
         assert err == f"cannot open {path}: {opened.value.strerror}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
 
+    @pytest.mark.parametrize("name", ["new_dir", "a_file", "no_such_dir/x", ""])
+    def test_out_csv_ending_in_separator_rejected_before_drawing(
+        self, capsys, monkeypatch, tmp_path, name
+    ):
+        # a trailing separator names a directory, which open refuses even when
+        # nothing is there yet; the folder it lies in is still checked first
+        def refuse(*args, **kwargs):
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        (tmp_path / "a_file").write_bytes(b"")
+        path = os.path.join(tmp_path, name, "")
+        with pytest.raises(OSError) as opened:
+            open(path, "wb")
+        code, out, err = run(capsys, "simulate", "--box", "pr", "--n", "1000", "--out-csv", path)
+        assert code == 2 and out == ""
+        assert err == f"cannot open {path}: {opened.value.strerror}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed(self, capsys, seed):
         code, out, err = run(capsys, "simulate", "--box", "mermin", "--n", "1000", "--seed", seed)

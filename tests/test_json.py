@@ -61,6 +61,7 @@ DIAGNOSTICS = SearchDiagnostics(
     winning_start=1,
     kernel_evaluations=40,
     max_constrained_cell=1.5e-12,
+    stationarity_residual=2.5e-9,
 )
 DIAGNOSTICS_JSON = {
     "starts_tried": 3,
@@ -68,6 +69,7 @@ DIAGNOSTICS_JSON = {
     "winning_start": 1,
     "kernel_evaluations": 40,
     "max_constrained_cell": 1.5e-12,
+    "stationarity_residual": 2.5e-9,
 }
 
 ROW_A = SignalingTestRow(Party.A, 1, -1, NAN, NAN, False, True)

@@ -24,7 +24,7 @@ from hardybox.behavior import (
     is_no_signaling,
     is_normalized,
 )
-from hardybox.bell import HARDY_QUADRUPLES, quadruple_for
+from hardybox.bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, quadruple_for
 from hardybox.locality import constraint_residuals
 from hardybox.quantum import (
     HARDY_MAX_PROBABILITY,
@@ -481,18 +481,83 @@ class TestStartsAndDescents:
             assert np.array_equal(quantum._starts(space, k, 20201), x[:k])
 
     def test_one_descent_per_start(self, monkeypatch):
-        scipy_minimize = pytest.importorskip("scipy.optimize").minimize
+        pytest.importorskip("scipy.optimize")
+        descend = quantum._descend
         x0s = []
 
-        def counting(fun, x0, *args, **kwargs):
+        def counting(evaluate, x0):
             x0s.append(np.array(x0))
-            return scipy_minimize(fun, x0, *args, **kwargs)
+            return descend(evaluate, x0)
 
-        monkeypatch.setattr(quantum, "minimize", counting)
+        monkeypatch.setattr(quantum, "_descend", counting)
         opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
         assert len(x0s) == SMALL_CFG.starts == opt.diagnostics.starts_tried
         space = _SearchSpace(SMALL_CFG.real_mode, SMALL_CFG.product_mode)
         assert np.array_equal(x0s, quantum._starts(space, SMALL_CFG.starts, SMALL_CFG.seed))
+
+    @staticmethod
+    def descents_match_minimize(space, objective, zeros, x0s):
+        """Descend from each of ``x0s`` through `_descend` and through
+        minimize; assert the same end point bytes, value, success and
+        evaluation count, and return minimize's results."""
+        pytest.importorskip("scipy.optimize._slsqplib")
+        scipy_minimize = pytest.importorskip("scipy.optimize").minimize
+        direct = quantum._evaluator(space, objective, zeros, -1.0)
+        reference = quantum._evaluator(space, objective, zeros, -1.0)
+        constraints = [{
+            "type": "eq",
+            "fun": lambda x: reference(x.tobytes())[1],
+            "jac": lambda x: reference(x.tobytes())[2],
+        }] if zeros else []
+        results = []
+        for x0 in x0s:
+            x, success = quantum._descend(direct, x0)
+            res = scipy_minimize(
+                lambda x: reference(x.tobytes())[0], x0, jac=True, method="SLSQP",
+                constraints=constraints,
+                options={"maxiter": quantum._MAXITER, "ftol": quantum._FTOL},
+            )
+            assert x.tobytes() == res.x.tobytes()
+            assert direct(x.tobytes())[0][0] == res.fun
+            assert success is bool(res.success)
+            results.append(res)
+        assert direct.cache_info().misses == reference.cache_info().misses
+        return results
+
+    @pytest.mark.parametrize("real_mode, product_mode, fixed, wide", SPACES)
+    def test_direct_descent_matches_minimize(self, real_mode, product_mode, fixed, wide):
+        # the kernel driven directly takes minimize's steps bit for bit, for
+        # a Hardy and a sigma objective in each space
+        space = _SearchSpace(real_mode, product_mode, fixed_state=fixed)
+        x0s = quantum._starts(space, SMALL_CFG.starts, SMALL_CFG.seed)
+        q = quadruple_for(1, 13)
+        for objective, zeros in (((q.j,), (q.k, q.l, q.m)), (SIGMA_SUPPORTS[1], ())):
+            self.descents_match_minimize(space, objective, zeros, x0s)
+
+    def test_direct_descent_matches_minimize_at_the_iteration_cap(self):
+        # the sixth default start of this Hardy search stops at the cap
+        space = _SearchSpace(True, False)
+        q = quadruple_for(3, 9)
+        x0 = quantum._starts(space, 6, OptimizerConfig().seed)[5]
+        (res,) = self.descents_match_minimize(space, (q.j,), (q.k, q.l, q.m), [x0])
+        assert res.status == 9 and res.nit == quantum._MAXITER
+
+    def test_minimize_path_returns_the_same_searches(self, monkeypatch):
+        # without scipy's kernel (scipy < 1.16) descents go through minimize
+        pytest.importorskip("scipy.optimize._slsqplib")
+        q = quadruple_for(1, 13)
+        complex_state = TwoQubitState((0.5, 0.5j, -0.5, 0.5))  # no real-mode zeros
+
+        def searches():
+            hardy = maximize_hardy(q, SMALL_CFG)
+            sigma = maximize_sigma(2, SMALL_CFG, minimize_value=True)
+            with pytest.raises(ConvergenceError) as failed:
+                maximize_hardy(q, SMALL_CFG, fixed_state=complex_state)
+            return repr(hardy), repr(sigma), str(failed.value)
+
+        direct = searches()
+        monkeypatch.setattr(quantum, "_slsqp_kernel", lambda: None)
+        assert searches() == direct
 
     def test_search_imports_no_scipy_stats(self):
         src = str(Path(hardybox.__file__).resolve().parent.parent)
@@ -607,8 +672,13 @@ class TestHardySearch:
         assert doc["diagnostics"] == opt.diagnostics.to_json_dict()
         assert set(doc["diagnostics"]) == {
             "starts_tried", "starts_feasible", "winning_start",
-            "kernel_evaluations", "max_constrained_cell",
+            "kernel_evaluations", "max_constrained_cell", "stationarity_residual",
         }
+
+    def test_stationarity_residual_at_default_optima(self):
+        for q in HARDY_QUADRUPLES[::16]:  # four quadruples from different families
+            d = maximize_hardy(q).diagnostics
+            assert 0.0 <= d.stationarity_residual <= 1e-6, q
 
 
 class TestSigmaSearch:
@@ -628,6 +698,11 @@ class TestSigmaSearch:
         assert d.starts_tried == d.starts_feasible == SMALL_CFG.starts
         assert d.max_constrained_cell == 0.0
         assert opt.to_json_dict()["diagnostics"] == d.to_json_dict()
+
+    def test_stationarity_residual_at_default_extrema(self):
+        for minimize_value in (False, True):
+            d = maximize_sigma(1, minimize_value=minimize_value).diagnostics
+            assert 0.0 <= d.stationarity_residual <= 1e-6, minimize_value
 
     def test_product_mode_hits_classical_bound(self):
         cfg = OptimizerConfig(starts=24, seed=20201, product_mode=True)
