@@ -64,10 +64,8 @@ from .bell import (
 )
 from .boxes import (
     BOX_NAMES,
-    DATA_DIR_ENV,
     NamedBox,
     available_boxes,
-    build_box,
     hardy_pattern_a_box,
     hardy_pattern_b_box,
     kwiat_hardy_box,

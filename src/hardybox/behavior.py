@@ -108,6 +108,8 @@ class Behavior:
 
     def block(self, setting_a: int, setting_b: int) -> tuple[float, float, float, float]:
         """The four cells of one setting pair, in outcome order."""
+        if setting_a not in (1, 2) or setting_b not in (1, 2):
+            raise ValueError(f"settings must be 1 or 2, got ({setting_a!r}, {setting_b!r})")
         base = 4 * (2 * (setting_a - 1) + (setting_b - 1))
         return self.probs[base : base + 4]  # type: ignore[return-value]
 

@@ -1,4 +1,4 @@
-"""Named reference boxes shipped as data files.
+"""Named reference boxes, each built by one constructor here.
 
 Five behaviors that exercise the analysis pipeline from different angles:
 
@@ -14,25 +14,19 @@ Five behaviors that exercise the analysis pipeline from different angles:
   three-zero shift theorem for two different cell quadruples that share
   the nonzero cell.
 
-Each box lives in ``data/<name>.json`` using the behavior JSON schema, and
-the files are byte-for-byte reproducible from the constructor functions
-here.  Set ``HARDYBOX_DATA_DIR`` to load the files from another directory.
+`load_box` builds a box by name.  ``hardybox examples --dump NAME`` prints
+one in the behavior JSON schema, which ``check --input`` and
+``simulate --input`` read back bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .behavior import Behavior, load_behavior
+from .behavior import Behavior
 from .locality import FreeSetId, complete_from_free_set
-
-#: environment variable overriding the packaged data directory
-DATA_DIR_ENV = "HARDYBOX_DATA_DIR"
 
 
 def pr_box() -> Behavior:
@@ -78,31 +72,16 @@ def hardy_pattern_b_box() -> Behavior:
     return complete_from_free_set([values.get(c, 0.164) for c in free], FreeSetId.S2P)
 
 
-_CONSTRUCTORS = {
-    "pr": pr_box,
-    "mermin": mermin_box,
-    "kwiat_hardy": kwiat_hardy_box,
-    "hardy_pattern_a": hardy_pattern_a_box,
-    "hardy_pattern_b": hardy_pattern_b_box,
-}
-
-_TITLES = {
-    "pr": "Popescu-Rohrlich box",
-    "mermin": "no-signaling box with a three-zero witness at cell 13",
-    "kwiat_hardy": "deterministic signaling table",
-    "hardy_pattern_a": "three-zero completion, zeros at cells 6, 11, 13",
-    "hardy_pattern_b": "three-zero completion, zeros at cells 6, 9, 15",
-}
-
-# reference values frozen by the test suite and echoed by the CLI
-_EXPECTED: dict[str, dict[str, float]] = {
-    "pr": {
+# name -> (constructor, title, reference values frozen by the test suite
+# and echoed by the CLI)
+_BOXES: dict[str, tuple[Callable[[], Behavior], str, dict[str, float]]] = {
+    "pr": (pr_box, "Popescu-Rohrlich box", {
         "sigma_1": 4.0,
         "ch_b1": 0.5,
         "max_signaling_residual": 0.0,
         "hardy_violations": 16,
-    },
-    "mermin": {
+    }),
+    "mermin": (mermin_box, "no-signaling box with a three-zero witness at cell 13", {
         "sigma_1": 0.82,
         "sigma_1_prime": 3.18,
         "ch_b1_four_term": -1.09,
@@ -111,27 +90,27 @@ _EXPECTED: dict[str, dict[str, float]] = {
         "witness_j": 13,
         "witness_pj": 0.09,
         "hardy_violations": 16,
-    },
-    "kwiat_hardy": {
+    }),
+    "kwiat_hardy": (kwiat_hardy_box, "deterministic signaling table", {
         "sigma_1": 4.0,
         "ch_b1_full": 1.0,
         "max_signaling_residual": 1.0,
-    },
-    "hardy_pattern_a": {
+    }),
+    "hardy_pattern_a": (hardy_pattern_a_box, "three-zero completion, zeros at cells 6, 11, 13", {
         "witness_family": 2,
         "witness_j": 1,
         "witness_pj": 0.09,
         "hardy_violations": 16,
-    },
-    "hardy_pattern_b": {
+    }),
+    "hardy_pattern_b": (hardy_pattern_b_box, "three-zero completion, zeros at cells 6, 9, 15", {
         "witness_family": 4,
         "witness_j": 1,
         "witness_pj": 0.09,
         "hardy_violations": 16,
-    },
+    }),
 }
 
-BOX_NAMES: tuple[str, ...] = tuple(_CONSTRUCTORS)
+BOX_NAMES: tuple[str, ...] = tuple(_BOXES)
 
 
 @dataclass(frozen=True)
@@ -146,33 +125,14 @@ def available_boxes() -> tuple[str, ...]:
     return BOX_NAMES
 
 
-def build_box(name: str) -> NamedBox:
-    """Construct a named box in code, bypassing the data files."""
-    if name not in _CONSTRUCTORS:
-        raise KeyError(f"unknown box {name!r}; available: {', '.join(BOX_NAMES)}")
-    return NamedBox(
-        name=name,
-        title=_TITLES[name],
-        behavior=_CONSTRUCTORS[name](),
-        expected=MappingProxyType(_EXPECTED[name]),
-    )
-
-
-def _data_file(name: str) -> Path:
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override) / f"{name}.json"
-    return Path(str(resources.files("hardybox.data") / f"{name}.json"))
-
-
 def load_box(name: str) -> NamedBox:
-    """Load a named box from its data file."""
-    if name not in _CONSTRUCTORS:
+    """Build a named box from its constructor."""
+    if name not in _BOXES:
         raise KeyError(f"unknown box {name!r}; available: {', '.join(BOX_NAMES)}")
-    behavior, label = load_behavior(_data_file(name))
+    constructor, title, expected = _BOXES[name]
     return NamedBox(
         name=name,
-        title=label or _TITLES[name],
-        behavior=behavior,
-        expected=MappingProxyType(_EXPECTED[name]),
+        title=title,
+        behavior=constructor(),
+        expected=MappingProxyType(expected),
     )

@@ -430,8 +430,10 @@ class SampleStats:
 
     @staticmethod
     def from_counts(counts: Sequence[Sequence[int]]) -> "SampleStats":
-        c = np.asarray(counts, dtype=np.int64)
-        if c.shape != (4, 4) or (c < 0).any():
+        c = np.asarray(counts)
+        if c.dtype.kind in "iu":  # a uint64 count past 2**63 wraps negative and is refused
+            c = c.astype(np.int64, copy=False)
+        if c.dtype != np.int64 or c.shape != (4, 4) or (c < 0).any():
             raise ValueError("counts must be a 4x4 table of nonnegative integers")
         per_block = c.sum(axis=1)
         freq = np.zeros(16)

@@ -123,10 +123,18 @@ class MeasurementSettings:
     b2: BlochDirection
 
     def for_a(self, setting: int) -> BlochDirection:
-        return self.a1 if setting == 1 else self.a2
+        return self._pick(setting, self.a1, self.a2)
 
     def for_b(self, setting: int) -> BlochDirection:
-        return self.b1 if setting == 1 else self.b2
+        return self._pick(setting, self.b1, self.b2)
+
+    @staticmethod
+    def _pick(setting: int, first: BlochDirection, second: BlochDirection) -> BlochDirection:
+        if setting == 1:
+            return first
+        if setting == 2:
+            return second
+        raise ValueError(f"setting must be 1 or 2, got {setting!r}")
 
     to_json_dict = record_to_json
 

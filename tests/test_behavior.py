@@ -70,6 +70,14 @@ class TestBehavior:
             assert b.p(i) == b.prob(j, k, m, n)
             assert b.block(j, k)[(i - 1) % 4] == b.p(i)
 
+    @pytest.mark.parametrize("settings", [(0, 1), (1, 3), (3, 1), (1, 0), (2, 3)])
+    def test_block_rejects_bad_settings(self, settings):
+        b = mermin_box()
+        with pytest.raises(ValueError, match=r"settings must be 1 or 2, got \(\d, \d\)"):
+            b.block(*settings)
+        with pytest.raises(ValueError, match="settings must be 1 or 2"):
+            correlation(b, *settings)
+
     def test_length_validation(self):
         with pytest.raises(ValueError):
             Behavior((0.5,) * 15)

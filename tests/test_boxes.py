@@ -1,19 +1,20 @@
-"""Named boxes: data files match constructors, expected values recompute."""
+"""Named boxes: the JSON dump reproduces each box, expected values recompute."""
 
 import json
 
 import pytest
 
-from hardybox.behavior import correlation_vector, save_behavior
+from hardybox.behavior import behavior_from_json_dict, correlation_vector
 from hardybox.bell import ch_values, ch_values_full, hardy_check, hardy_witness, sigma_values
-from hardybox.boxes import (
-    BOX_NAMES,
-    DATA_DIR_ENV,
-    available_boxes,
-    build_box,
-    load_box,
-)
+from hardybox.boxes import BOX_NAMES, available_boxes, load_box
+from hardybox.cli import main
 from hardybox.locality import constraint_residuals
+
+
+def dumped(capsys, name):
+    """The JSON document `examples --dump NAME` prints."""
+    assert main(["examples", "--dump", name]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestRegistry:
@@ -28,34 +29,23 @@ class TestRegistry:
         }
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown box 'nonlocal9000'; available: pr, mermin,"):
             load_box("nonlocal9000")
-        with pytest.raises(KeyError):
-            build_box("nonlocal9000")
 
 
 class TestDataFiles:
-    @pytest.mark.parametrize("name", BOX_NAMES)
-    def test_file_matches_constructor(self, name):
-        # bitwise equality: files are generated from these constructors
-        assert load_box(name).behavior == build_box(name).behavior
+    """A box written as a JSON file by `examples --dump` reads back unchanged."""
 
     @pytest.mark.parametrize("name", BOX_NAMES)
-    def test_titles(self, name):
-        assert load_box(name).title == build_box(name).title
+    def test_file_matches_constructor(self, capsys, name):
+        # bitwise equality: the JSON form carries every bit of the constructor's box
+        behavior, _ = behavior_from_json_dict(dumped(capsys, name))
+        assert behavior == load_box(name).behavior
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        modified = build_box("pr").behavior
-        save_behavior(modified, tmp_path / "mermin.json", label="override")
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        box = load_box("mermin")
-        assert box.behavior == modified
-        assert box.title == "override"
-
-    def test_env_override_missing_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        with pytest.raises(FileNotFoundError):
-            load_box("pr")
+    @pytest.mark.parametrize("name", BOX_NAMES)
+    def test_titles(self, capsys, name):
+        _, label = behavior_from_json_dict(dumped(capsys, name))
+        assert label == load_box(name).title
 
 
 def recompute(box, key):
@@ -94,22 +84,20 @@ def recompute(box, key):
 class TestExpectedValues:
     @pytest.mark.parametrize("name", BOX_NAMES)
     def test_every_expected_entry_recomputes(self, name):
-        box = build_box(name)
+        box = load_box(name)
         assert box.expected, name
         for key, want in box.expected.items():
             assert recompute(box, key) == pytest.approx(want, abs=1e-12), (name, key)
 
     def test_expected_is_read_only(self):
-        box = build_box("pr")
+        box = load_box("pr")
         with pytest.raises(TypeError):
             box.expected["sigma_1"] = 0.0
 
 
 class TestFileContents:
     @pytest.mark.parametrize("name", BOX_NAMES)
-    def test_raw_schema(self, name):
-        from hardybox.boxes import _data_file
-
-        doc = json.loads(_data_file(name).read_text(encoding="utf-8"))
+    def test_raw_schema(self, capsys, name):
+        doc = dumped(capsys, name)
         assert set(doc) == {"probs", "label"}
         assert len(doc["probs"]) == 16

@@ -12,7 +12,7 @@ import pytest
 import hardybox
 from hardybox import cli
 from hardybox.behavior import save_behavior, uniform_behavior
-from hardybox.boxes import build_box, load_box
+from hardybox.boxes import load_box
 from hardybox.cli import main
 from hardybox.montecarlo import MAX_TRIALS, simulate
 
@@ -118,7 +118,7 @@ class TestComplete:
         doc = run_json(
             capsys, "complete", "--variant", "s1", "--free", ",".join(["0.5"] * 8)
         )
-        assert doc["probs"] == list(build_box("pr").behavior.probs)
+        assert doc["probs"] == list(load_box("pr").behavior.probs)
 
     def test_wrong_count(self, capsys):
         code, _, err = run(capsys, "complete", "--variant", "s1", "--free", "0.5,0.5")
@@ -414,7 +414,7 @@ def test_not_utf8_names_root(capsys, tmp_path, argv):
 def test_all_holds_every_public_name():
     names = hardybox.__all__
     module = type(hardybox)
-    assert len(names) == len(set(names)) == 107
+    assert len(names) == len(set(names)) == 105
     assert [n for n in names if n.startswith("_")] == ["__version__"]
     assert not [n for n in names if isinstance(getattr(hardybox, n), module)]
     public = {n for n, v in vars(hardybox).items() if not n.startswith("_") and type(v) is not module}

@@ -267,6 +267,11 @@ class TestEstimate:
             SampleStats.from_counts([[1, 2, 3]])
         with pytest.raises(ValueError):
             SampleStats.from_counts([[-1, 0, 0, 0]] * 4)
+        # non-integer tables are refused, not truncated or cast
+        with pytest.raises(ValueError, match="4x4 table of nonnegative integers"):
+            SampleStats.from_counts([[1.5, 0.5, 0, 0]] * 4)
+        with pytest.raises(ValueError, match="4x4 table of nonnegative integers"):
+            SampleStats.from_counts([[True, False, False, False]] * 4)
 
 
 class TestInequalityTest:

@@ -122,6 +122,15 @@ class TestStatesAndDirections:
         v = BlochDirection(math.pi / 2, 0.0).unit_vector()
         assert v == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
+    def test_settings_pick_by_index(self):
+        s = MeasurementSettings(*(BlochDirection(t) for t in (0.1, 0.2, 0.3, 0.4)))
+        assert (s.for_a(1), s.for_a(2), s.for_b(1), s.for_b(2)) == (s.a1, s.a2, s.b1, s.b2)
+        for bad in (0, 3, -1):
+            with pytest.raises(ValueError, match="setting must be 1 or 2"):
+                s.for_a(bad)
+            with pytest.raises(ValueError, match="setting must be 1 or 2"):
+                s.for_b(bad)
+
 
 class TestBornRule:
     def test_matches_projector_oracle(self):
