@@ -70,11 +70,16 @@ def index_of(setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> 
     return 4 * (2 * (setting_a - 1) + (setting_b - 1)) + offset + 1
 
 
-def cell_of(index: int) -> tuple[int, int, int, int]:
-    """Inverse of `index_of`: cell index -> (settingA, settingB, outcomeA, outcomeB)."""
+def cell_position(index: int) -> int:
+    """0-based position of cell ``index``; `ValueError` unless it is in 1..16."""
     if not 1 <= index <= 16:
         raise ValueError(f"cell index must be in 1..16, got {index!r}")
-    block, offset = divmod(index - 1, 4)
+    return index - 1
+
+
+def cell_of(index: int) -> tuple[int, int, int, int]:
+    """Inverse of `index_of`: cell index -> (settingA, settingB, outcomeA, outcomeB)."""
+    block, offset = divmod(cell_position(index), 4)
     outcome_a, outcome_b = OUTCOME_ORDER[offset]
     return block // 2 + 1, block % 2 + 1, outcome_a, outcome_b
 
@@ -90,18 +95,16 @@ class Behavior:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(x) for x in self.probs)
+        probs = tuple(map(float, self.probs))
         if len(probs) != 16:
             raise ValueError(f"behavior needs 16 probabilities, got {len(probs)}")
-        if not all(math.isfinite(x) for x in probs):
+        if not all(map(math.isfinite, probs)):
             raise ValueError("behavior entries must be finite")
         object.__setattr__(self, "probs", probs)
 
     def p(self, index: int) -> float:
         """Probability of cell ``index`` (1-based, see module docstring)."""
-        if not 1 <= index <= 16:
-            raise ValueError(f"cell index must be in 1..16, got {index!r}")
-        return self.probs[index - 1]
+        return self.probs[cell_position(index)]
 
     def prob(self, setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> float:
         return self.probs[index_of(setting_a, setting_b, outcome_a, outcome_b) - 1]

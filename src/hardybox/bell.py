@@ -27,6 +27,16 @@ negated lower slack of one Hardy quadruple (`_CH_FOUR_TERM_QUADRUPLES`); and
 the 64 Hardy lower slacks pk + pl + pm - pj, each upper slack being 1 minus
 its lower one.
 
+That product is cached for one point, as the quantum search caches its
+evaluations: the last ``Behavior.probs`` tuple and its 96 values.  The
+reports on one `Behavior`, such as those ``check`` prints, then share one
+product, and a hit costs an identity test on the immutable tuple.  Hit or
+miss, the numbers are those of the product.  Only a caller that asks
+several reports of the same `Behavior` object in a row hits: ``check``
+(one miss, then 5 to 13 hits per box) and a per-box audit like the
+benchmark's ``box-audit`` (87% hits).  A search or a simulation asks one
+report per box and always misses, for the cost of that identity test.
+
 Cell numbering follows `hardybox.behavior`.
 """
 
@@ -193,9 +203,23 @@ _CH_FULL = {via: slice(16 + 4 * n, 20 + 4 * n) for n, via in enumerate(_MARGINAL
 _HARDY_LOWER = slice(32, 96)
 
 
+#: (cells, values) of the last `_values` call; replaced in one assignment
+_LAST: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
+
+
 def _values(b: Behavior) -> tuple[float, ...]:
-    """Every row of the coefficient matrix evaluated on ``b``."""
-    return tuple((_ROWS @ np.asarray(b.probs)).tolist())
+    """Every row of the coefficient matrix evaluated on ``b``.
+
+    One product per distinct cell tuple: the last tuple and its values are
+    kept, and a box whose ``probs`` is that same tuple object reads them back.
+    The cache holds the tuple, so its identity cannot be reused meanwhile.
+    """
+    global _LAST
+    probs, values = _LAST
+    if b.probs is not probs:
+        values = tuple((_ROWS @ np.asarray(b.probs)).tolist())
+        _LAST = (b.probs, values)
+    return values
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ Each completion is solved from the constraint system at import into one
 affine table, cells = const + free @ m; the import fails unless every solved
 cell comes out as (1 + sum of +-1 times the free cells) / 2.  The sign view
 (`completion_signs`, `FreeSetId.solved_cells`, `complete_from_free_set`) is
-read from those tables once, at import.
+read from those tables once, at import.  Each completion composed with its
+inverse is one more table, cells = const + p @ m over all sixteen cells, so
+`completion_roundtrip` is one residual product and one table product.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class ConstraintResiduals:
 
 
 def constraint_residuals(b: Behavior) -> ConstraintResiduals:
-    res = _MATRIX @ np.asarray(b.probs) - _RHS
+    res = (_MATRIX @ np.asarray(b.probs) - _RHS).tolist()
     return ConstraintResiduals(tuple(res[:4]), tuple(res[4:]))
 
 
@@ -167,6 +169,24 @@ _SIGNS: dict[FreeSetId, dict[int, tuple[int, ...]]] = {
 }
 
 
+def _compose_roundtrip(variant: FreeSetId) -> tuple[np.ndarray, np.ndarray]:
+    # the first table over all 16 cells (p @ first == p[free] @ m), then the
+    # inverse's table on its free cells: round trip = const + p @ m, m 16 x 16
+    (const, m), (const_inv, m_inv) = _COMPLETIONS[variant], _COMPLETIONS[variant.inverse]
+    first = np.zeros((16, 16))
+    first[[c - 1 for c in variant.free_cells]] = m
+    back = [c - 1 for c in variant.inverse.free_cells]
+    return const_inv + const[back] @ m_inv, first[:, back] @ m_inv
+
+
+#: One affine table per round trip through a completion and its inverse:
+#: cells = const + p @ m over all 16 cells.  Both completion tables hold
+#: multiples of 1/2, so the composed table is exact.
+_ROUNDTRIPS: dict[FreeSetId, tuple[np.ndarray, np.ndarray]] = {
+    v: _compose_roundtrip(v) for v in FreeSetId
+}
+
+
 def completion_signs(variant: FreeSetId) -> dict[int, tuple[int, ...]]:
     """Sign table of one completion (solved cell -> signs over the free cells)."""
     return dict(_SIGNS[variant])
@@ -211,11 +231,8 @@ def completion_roundtrip(b: Behavior, variant: FreeSetId, tol: float = DEFAULT_T
         raise ValueError(
             f"behavior violates the constraint system (max residual {residual:.3e} > {tol:.1e})"
         )
-    cells = np.asarray(b.probs)
-    for v in (variant, variant.inverse):  # each completion one product with its table
-        const, m = _COMPLETIONS[v]
-        cells = const + cells[[c - 1 for c in v.free_cells]] @ m
-    return Behavior(cells.tolist())
+    const, m = _ROUNDTRIPS[variant]
+    return Behavior((const + np.asarray(b.probs) @ m).tolist())
 
 
 class _QuadrupleLike(Protocol):

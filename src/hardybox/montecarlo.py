@@ -56,7 +56,16 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .behavior import SIGNALING_ROWS, Behavior, Party, cell_of, is_valid, record_to_json, to_json
+from .behavior import (
+    SIGNALING_ROWS,
+    Behavior,
+    Party,
+    cell_of,
+    cell_position,
+    is_valid,
+    record_to_json,
+    to_json,
+)
 from .bell import HardyQuadruple
 
 _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
@@ -452,10 +461,10 @@ class SampleStats:
         )
 
     def p_hat(self, cell: int) -> float:
-        return self.freq[cell - 1]
+        return self.freq[cell_position(cell)]
 
     def stderr_of(self, cell: int) -> float:
-        return self.stderr[cell - 1]
+        return self.stderr[cell_position(cell)]
 
     def derived_behavior(self) -> Behavior:
         if min(self.trials_per_block) == 0:
@@ -518,7 +527,7 @@ def test_inequality(
     check_alpha(alpha)
     cells = q.cells()
     blocks = {(c - 1) // 4 for c in cells}
-    if len(blocks) != 4:
+    if blocks != {0, 1, 2, 3}:  # so each cell is in 1..16, and indexes the tables directly
         raise AssertionError("quadruple cells must span all four blocks")
     if any(stats.trials_per_block[g] == 0 for g in blocks):
         return InequalityTestResult(
@@ -533,8 +542,8 @@ def test_inequality(
             violated_upper=False,
             inconclusive=True,
         )
-    pj, pk, pl, pm = (stats.p_hat(c) for c in cells)
-    se = math.sqrt(sum(stats.stderr_of(c) ** 2 for c in cells))
+    pj, pk, pl, pm = (stats.freq[c - 1] for c in cells)
+    se = math.sqrt(sum(stats.stderr[c - 1] ** 2 for c in cells))
     lower = (pk + pl + pm) - pj
     upper = 1.0 + pj - (pk + pl + pm)
     z_alpha = NormalDist().inv_cdf(1.0 - alpha)

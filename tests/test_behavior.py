@@ -2,7 +2,9 @@
 
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,18 +81,34 @@ class TestBehavior:
             correlation(b, *settings)
 
     def test_length_validation(self):
-        with pytest.raises(ValueError):
-            Behavior((0.5,) * 15)
+        for n in (0, 1, 15, 17, 32):
+            message = rf"^behavior needs 16 probabilities, got {n}$"
+            with pytest.raises(ValueError, match=message):
+                Behavior((0.0625,) * n)
+            with pytest.raises(ValueError, match=message):  # before finiteness
+                Behavior((math.nan,) * n)
 
     def test_finite_validation(self):
-        probs = [0.0625] * 16
-        probs[3] = math.nan
-        with pytest.raises(ValueError):
-            Behavior(tuple(probs))
+        for bad in (math.nan, math.inf, -math.inf, np.float32("inf")):
+            for position in (0, 7, 15):
+                probs = [0.0625] * 16
+                probs[position] = bad
+                with pytest.raises(ValueError, match=r"^behavior entries must be finite$"):
+                    Behavior(tuple(probs))
 
     def test_coerces_to_float(self):
         b = Behavior((1,) + (0,) * 15)
         assert all(isinstance(p, float) for p in b.probs)
+        cells = (
+            [np.float64(0.1), np.float32(0.1), np.int64(1), np.uint8(0), True]
+            + [1, 0, Fraction(1, 3), Fraction(-2, 7), 2**60, -3]
+            + [0.25, np.float16(0.5), Fraction(10**30, 3), 1e300, -0.0]
+        )
+        b = Behavior(cells)
+        assert [type(p) for p in b.probs] == [float] * 16
+        assert list(b.probs) == [float(x) for x in cells]
+        assert Behavior(np.arange(16) / 16).probs == tuple(i / 16 for i in range(16))
+        assert Behavior(iter([0.25] * 16)) == uniform_behavior()
 
     def test_p_is_one_based(self):
         b = Behavior(tuple(i / 100 for i in range(16)))

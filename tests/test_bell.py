@@ -6,13 +6,21 @@ reproduce it exactly.  Group g collects the 16 rows whose probability sum
 has index g (two families per group, unprimed then primed).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardybox import bell
-from hardybox.behavior import Behavior, correlation_vector, is_no_signaling, uniform_behavior
+from hardybox.behavior import (
+    Behavior,
+    correlation_vector,
+    is_no_signaling,
+    is_normalized,
+    uniform_behavior,
+)
 from hardybox.bell import (
     HARDY_QUADRUPLES,
     SIGMA_PRIME_SUPPORTS,
@@ -261,6 +269,31 @@ class TestHardyCheck:
         rep = hardy_check(uniform_behavior())
         assert rep.n_violated == 0
 
+    def test_checks_are_frozen_dataclasses(self):
+        # dataclasses.replace, fields and asdict work on a check, as the
+        # benchmark's wrong-answer case needs, and a check is no tuple
+        names = ("quadruple", "lower_slack", "upper_slack", "violated_lower", "violated_upper")
+        rep = hardy_check(mermin_box())
+        assert len(rep.checks) == 64
+        for q, c in zip(HARDY_QUADRUPLES, rep.checks):
+            assert type(c) is bell.InequalityCheck
+            assert tuple(f.name for f in dataclasses.fields(c)) == names
+            assert c.quadruple is q
+            assert c.violated == (c.violated_lower or c.violated_upper)
+            assert c.to_json_dict() == {
+                **q.to_json_dict(),
+                **{f: getattr(c, f) for f in names[1:]},
+            }
+            assert list(c.to_json_dict())[-4:] == list(names[1:])
+            assert c != tuple(getattr(c, f) for f in names)
+        first = rep.checks[0]
+        shifted = dataclasses.replace(first, lower_slack=first.lower_slack + 0.25)
+        assert shifted.lower_slack == first.lower_slack + 0.25
+        assert shifted.quadruple is first.quadruple and shifted != first
+        assert dataclasses.asdict(first)["lower_slack"] == first.lower_slack
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.lower_slack = 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(normalized_strategy())
     def test_slack_sum_property(self, b):
@@ -379,6 +412,70 @@ class TestEquivalenceAudit:
         assert doc["flagged"] is False
         assert "ch_full_residuals" in doc
         assert doc["ch_identities_ok"] is True
+
+
+def _fresh_values(b: Behavior) -> tuple[float, ...]:
+    """The coefficient rows on ``b`` from a product of its own, past any cache."""
+    return tuple((bell._ROWS @ np.asarray(b.probs)).tolist())
+
+
+def any_box_strategy():
+    cells = st.floats(min_value=-1.0, max_value=2.0, allow_nan=False)
+    return st.one_of(
+        normalized_strategy(), st.lists(cells, min_size=16, max_size=16).map(Behavior)
+    )
+
+
+_REPORTS = (sigma_values, delta_values, ch_values, ch_values_full, hardy_check, equivalence_audit)
+
+
+class TestValuesCache:
+    """`bell._values` keeps one product; reports read the same bits either way."""
+
+    def test_alternating_boxes(self):
+        a, b = mermin_box(), kwiat_hardy_box()
+        want_a, want_b = _fresh_values(a), _fresh_values(b)
+        assert bell._values(a) == want_a
+        assert bell._values(b) == want_b
+        assert bell._values(a) == want_a
+        assert bell._values(a) is bell._values(a)  # a hit hands back the kept values
+
+    def test_equal_cells_in_distinct_boxes(self):
+        cells = tuple(i / 120.0 for i in range(16))
+        first, second = Behavior(cells), Behavior(list(cells))
+        assert first == second and first.probs is not second.probs
+        assert bell._values(first) == _fresh_values(first)
+        assert bell._values(second) == _fresh_values(second)
+        assert bell._LAST[0] is second.probs
+        assert hardy_check(first) == hardy_check(second)
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_box_strategy(), any_box_strategy())
+    def test_reports_equal_a_fresh_product(self, b, other):
+        want = _fresh_values(b)
+        assert sigma_values(b).sigma == want[bell._SIGMA]
+        assert sigma_values(b).sigma_prime == want[bell._SIGMA_PRIME]
+        assert delta_values(b).delta == want[bell._DELTA]
+        assert ch_values(b).b == want[bell._CH_FOUR]
+        for via, rows in bell._CH_FULL.items():
+            assert ch_values_full(b, *via).b == want[rows]
+        lower = want[bell._HARDY_LOWER]
+        rep = hardy_check(b)
+        assert [c.lower_slack for c in rep.checks] == list(lower)
+        assert [c.upper_slack for c in rep.checks] == [1.0 - x for x in lower]
+        reports = _REPORTS + ((chsh_check,) if is_normalized(b) else ())
+        # each report once from a miss (another box was valued last), then
+        # all of them again from the kept product: the same records
+        cold = []
+        for report in reports:
+            bell._values(other)
+            cold.append(report(b))
+        assert [report(b) for report in reports] == cold
+        if is_normalized(b):
+            chsh = cold[-1]
+            assert (chsh.sigma, chsh.sigma_prime, chsh.delta) == (
+                want[bell._SIGMA], want[bell._SIGMA_PRIME], want[bell._DELTA]
+            )
 
 
 def _textbook_forms(p: np.ndarray, a_marg_via: int, b_marg_via: int) -> dict:

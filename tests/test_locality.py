@@ -17,6 +17,7 @@ from hardybox.behavior import Behavior, is_no_signaling, is_normalized, is_valid
 from hardybox.boxes import kwiat_hardy_box, mermin_box, pr_box
 from hardybox.locality import (
     _COMPLETIONS,
+    _ROUNDTRIPS,
     FreeSetId,
     NsBoundTriple,
     complete_from_free_set,
@@ -93,6 +94,15 @@ class TestConstraintSystem:
         res = constraint_residuals(kwiat_hardy_box())
         assert max(abs(r) for r in res.normalization) == 0.0
         assert max(abs(r) for r in res.signaling) == 1.0
+
+    def test_residuals_are_the_product_as_floats(self):
+        rng = np.random.default_rng(18)
+        for p in rng.random((50, 16)):
+            res = constraint_residuals(Behavior(p))
+            expected = constraint_matrix() @ p - constraint_rhs()
+            assert all(type(x) is float for x in res.as_vector())
+            assert res.as_vector() == tuple(expected.tolist())
+            assert res.max_abs() == float(np.abs(expected).max())
 
 
 class TestCompletionSigns:
@@ -214,8 +224,46 @@ class TestCompletion:
                 assert np.abs(np.subtract(got.probs, want.probs)).max() <= 1e-15
 
     def test_roundtrip_rejects_signaling(self):
-        with pytest.raises(ValueError):
-            completion_roundtrip(kwiat_hardy_box(), FreeSetId.S1)
+        cases = [
+            (kwiat_hardy_box().probs, 1e-9, "max residual 1.000e+00 > 1.0e-09"),
+            ((0.3,) * 16, 1e-3, "max residual 2.000e-01 > 1.0e-03"),
+            ((0.25,) * 15 + (0.2500001,), 1e-9, "max residual 1.000e-07 > 1.0e-09"),
+        ]
+        for cells, tol, message in cases:
+            for v in ALL_VARIANTS:
+                with pytest.raises(ValueError) as error:
+                    completion_roundtrip(Behavior(cells), v, tol)
+                assert str(error.value) == f"behavior violates the constraint system ({message})"
+
+    def test_roundtrip_tables_match_two_products(self):
+        # each round trip is one composed table; the two completion products
+        # it stands for agree on every cell to rounding
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for i in range(200):
+            b = random_no_signaling_behavior(rng, ALL_VARIANTS[i % 8])
+            for v in ALL_VARIANTS:
+                cells = np.asarray(b.probs)
+                for w in (v, v.inverse):
+                    const, m = _COMPLETIONS[w]
+                    cells = const + cells[[c - 1 for c in w.free_cells]] @ m
+                got = completion_roundtrip(b, v).probs
+                worst = max(worst, float(np.abs(np.subtract(got, cells)).max()))
+        assert worst <= 1e-15
+
+    def test_roundtrip_tables_are_exact(self):
+        # the same composition in rationals gives every table entry unrounded
+        exact = np.vectorize(Fraction, otypes=[object])
+        for v in ALL_VARIANTS:
+            (const, m), (const_inv, m_inv) = (
+                (exact(c), exact(t)) for c, t in (_COMPLETIONS[v], _COMPLETIONS[v.inverse])
+            )
+            first = exact(np.zeros((16, 16)))
+            first[[c - 1 for c in v.free_cells]] = m
+            back = [c - 1 for c in v.inverse.free_cells]
+            got_const, got_m = _ROUNDTRIPS[v]
+            assert (exact(got_const) == const_inv + const[back] @ m_inv).all()
+            assert (exact(got_m) == first[:, back] @ m_inv).all()
 
 
 @settings(max_examples=120, deadline=None)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from hardybox import montecarlo
 from hardybox.behavior import Behavior, uniform_behavior
-from hardybox.bell import quadruple_for
+from hardybox.bell import HardyQuadruple, quadruple_for
 from hardybox.boxes import kwiat_hardy_box, mermin_box, pr_box
 from hardybox.montecarlo import (
     MAX_TRIALS,
@@ -238,6 +238,19 @@ class TestEstimate:
         assert stats.p_hat(2) == pytest.approx(2 / 3)
         assert stats.p_hat(16) == 1.0
 
+    def test_cell_index_range(self):
+        stats = SampleStats.from_counts([[1, 2, 3, 4]] * 4)
+        for cell in range(1, 17):
+            assert stats.p_hat(cell) == stats.freq[cell - 1]
+            assert stats.stderr_of(cell) == stats.stderr[cell - 1]
+        for cell in (0, 17, -1):
+            with pytest.raises(ValueError) as behavior_error:
+                uniform_behavior().p(cell)
+            for read in (stats.p_hat, stats.stderr_of):
+                with pytest.raises(ValueError, match=r"cell index must be in 1\.\.16") as error:
+                    read(cell)
+                assert str(error.value) == str(behavior_error.value)
+
     def test_wilson_stderr_arithmetic(self):
         counts = [[9, 91, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
         stats = SampleStats.from_counts(counts)
@@ -309,6 +322,14 @@ class TestInequalityTest:
         res = run_inequality_test(stats, quadruple_for(1, 13), alpha=0.01)
         assert res.inconclusive
         assert not res.violated
+
+    @pytest.mark.parametrize("cells", [(0, 5, 9, 13), (1, 5, 9, 17), (-3, 5, 9, 13), (1, 2, 9, 13)])
+    def test_cells_outside_the_four_blocks_rejected(self, cells):
+        # cell 0 or -3 would index from the end of the frequency table
+        stats = SampleStats.from_counts([[1, 2, 3, 4]] * 4)
+        q = HardyQuadruple(*cells, family=1, sigma_index=1, primed=False)
+        with pytest.raises(AssertionError, match="span all four blocks"):
+            run_inequality_test(stats, q)
 
     def test_alpha_validation(self):
         stats = estimate(simulate(pr_box(), 100, seed=1))
