@@ -11,17 +11,32 @@ and discarding the remainder word by word.
 
 `simulate` draws in ``max(n_shards, ceil(n / 2**18))`` consecutive pieces of
 near-equal size, but never more than ``n``: shards beyond ``n`` would be
-empty, and pieces of at most 2**18 trials keep the sort's index buffers
-small.  The settings doubles are drawn in pieces of 2**18 too, straight
-into one byte of block id per trial.  `simulate` keeps a running count of
-the doubles each block has used, so finding every piece's starting points
-costs O(n) in all.  Within a piece a stable sort of the block ids (a radix
-sort of bytes) groups each block's trials; one call draws their doubles,
-three comparisons with the block's cumulative probabilities give each
-trial's code ``4 * block + outcome pair`` as one byte, and a scatter
-through the sort order writes the codes over the piece's block ids.  That
-code byte is the log: a `TrialLog` is one uint8 array of codes, which
-`estimate` counts and `to_csv` writes, 2**18 trials at a time.
+empty.  Each piece reads only its own stream positions, so the pieces run
+on up to one thread per CPU the process may use (its affinity mask), each
+thread pinned to a CPU of its own, and the log does not depend on the
+thread count; with one piece or one CPU everything runs in the calling
+thread.  The draw has three phases:
+
+1. Settings, per piece: the piece seeks substream 4 to its first trial
+   (the skip rule above) and draws one double per trial straight into one
+   byte of block id, then counts each block's trials.
+2. Block starts, in the caller: running sums of those counts, in piece
+   order, give each piece its first double in each block's stream.  A
+   block of zero total probability that holds a trial is refused here,
+   before any outcome is drawn: the first such (piece, block) in piece
+   order, then block order.
+3. Outcomes, per piece: a stable sort of the block ids (a radix sort of
+   bytes) groups each block's trials; one call draws their doubles, three
+   comparisons with the block's cumulative probabilities give each trial's
+   code ``4 * block + outcome pair`` as one byte, and a scatter through the
+   sort order writes the codes over the block ids.
+
+numpy releases the GIL in the draws, the sort and the scatter, which is
+where the time goes.  The threads share half a piece's worth of buffers:
+each sorts and draws in runs of ``2**17 / threads`` trials (at least
+2**14), so memory does not grow with the CPU count.  The code byte is the log: a
+`TrialLog` is one uint8 array of codes, which `estimate` counts and
+`to_csv` writes, 2**18 trials at a time.
 
 A trial log on disk is CSV: the header ``settingA,settingB,outcomeA,
 outcomeB`` and one row per trial such as ``2,1,+1,-1``, every line ended
@@ -46,13 +61,16 @@ tails come from the standard library (`statistics.NormalDist`,
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,9 +93,9 @@ _CSV_HEAD = ",".join(_CSV_HEADER).encode() + b"\r\n"
 SETTINGS_SUBSTREAM = 4
 
 #: most trials `simulate` accepts.  Simulating and estimating peak at about
-#: 1.1 bytes per trial at the cap, 1 of them the log itself (tracemalloc:
-#: 1.1 at 60M trials, 1.2 at 20M, 2.2-2.4 with 16 or 1 shards at 4M), so a
-#: `simulate` process at the cap peaks at about 105 MB.
+#: 1.1 bytes per trial at the cap, 1 of them the log itself (tracemalloc, on
+#: two threads, with 1 and 16 shards alike: 1.1 at 60M trials, 1.15 at 20M,
+#: 1.6 at 4M), so a `simulate` process at the cap peaks at about 102 MB.
 MAX_TRIALS = 60_000_000
 
 #: most trials `simulate` draws and `estimate` tabulates in one piece; bounds
@@ -97,6 +115,11 @@ def _check_n(n: object) -> None:
 def _check_seed(seed: object) -> None:
     if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
+
+
+def _check_policy(policy: object) -> None:
+    if policy not in ("uniform", "roundrobin"):
+        raise ValueError(f"unknown settings policy {policy!r}")
 
 
 def _seek(bg: np.random.Philox, seed: int, substream: int, skip: int = 0) -> np.random.Philox:
@@ -145,22 +168,23 @@ def settings_sequence(n: int, seed: int, policy: str = "uniform") -> np.ndarray:
     """
     _check_n(n)
     _check_seed(seed)
-    return _settings_ids(block_rng(seed, SETTINGS_SUBSTREAM), n, policy)
+    _check_policy(policy)
+    ids = np.empty(n, dtype=np.uint8)
+    _settings_ids(block_rng(seed, SETTINGS_SUBSTREAM), ids, 0, policy)
+    return ids
 
 
-def _settings_ids(rng: np.random.Generator, n: int, policy: str) -> np.ndarray:
-    # ``rng`` stands at the start of the settings substream
+def _settings_ids(rng: np.random.Generator, ids: np.ndarray, start: int, policy: str) -> None:
+    # writes the block ids of trials start, start + 1, ... over ``ids``;
+    # ``rng`` stands at trial ``start``'s double of the settings substream
     if policy == "uniform":
         # in pieces, so the doubles never take more than O(_PIECE) memory
-        ids = np.empty(n, dtype=np.uint8)
-        for i in range(0, n, _PIECE):
-            u = rng.random(min(_PIECE, n - i))
+        for i in range(0, len(ids), _PIECE):
+            u = rng.random(min(_PIECE, len(ids) - i))
             u *= 4.0
             ids[i : i + len(u)] = u  # the cast truncates 4u to the block id
-        return ids
-    if policy == "roundrobin":
-        return np.resize(np.arange(4, dtype=np.uint8), n)
-    raise ValueError(f"unknown settings policy {policy!r}")
+    else:  # roundrobin: trial i takes block i % 4
+        ids[:] = np.resize(np.roll(np.arange(4, dtype=np.uint8), -(start % 4)), len(ids))
 
 
 class TrialRecord(NamedTuple):
@@ -349,6 +373,36 @@ def _read_csv(fh: io.TextIOBase) -> TrialLog:
     return TrialLog.from_records(rows)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_piece(fn: Callable[[int], object], pieces: int, workers: int) -> list:
+    """``[fn(s) for s in range(pieces)]``, in the calling thread for one worker,
+    else on a pool of ``workers`` threads that is shut down (each thread
+    joined) before this returns or raises.  A failed piece raises here, the
+    first in piece order."""
+    if workers == 1:
+        return [fn(s) for s in range(pieces)]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
+
+    # each thread is pinned to a CPU of its own for its short life: left to
+    # itself, the kernel may start every thread on one CPU and keep them
+    # there for the whole call (a 2-vCPU VM ran most calls that way)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+    def pin() -> None:
+        if cpus:
+            with contextlib.suppress(OSError):  # the mask changed meanwhile: run unpinned
+                os.sched_setaffinity(0, {cpus.pop()})
+
+    with ThreadPoolExecutor(workers, initializer=pin) as pool:
+        return list(pool.map(fn, range(pieces)))
+
+
 def simulate(
     b: Behavior,
     n: int,
@@ -360,11 +414,14 @@ def simulate(
 
     Cells must be valid probabilities; each sampled block is renormalized to
     its own total, which must be positive.  The result is identical for any
-    ``n_shards`` (sharding only controls how the streams are consumed), which
-    the test suite pins down.  ``n`` must be an integer in 0..`MAX_TRIALS`,
-    ``seed`` one in 0..2**64 - 1 (a Philox key word) and ``n_shards`` a
-    positive integer; all are checked before anything is drawn.  The module
-    docstring describes how the draw is organized.
+    ``n_shards`` (sharding only controls how the streams are consumed) and
+    any number of CPUs, which the test suite pins down.  ``n`` must be an
+    integer in 0..`MAX_TRIALS`, ``seed`` one in 0..2**64 - 1 (a Philox key
+    word) and ``n_shards`` a positive integer; all are checked before
+    anything is drawn.  A block of zero total raises a ValueError naming it
+    after the settings are drawn, before any outcome is.  The pieces of the
+    draw run on up to one thread per usable CPU, as the module docstring
+    describes; every thread is joined before this returns or raises.
     """
     _check_n(n)
     _check_seed(seed)
@@ -372,47 +429,80 @@ def simulate(
         raise ValueError("behavior cells must lie in [0, 1]")
     if not _is_int(n_shards) or n_shards < 1:
         raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
-    # one Philox for the whole call: it draws the settings, then is re-keyed
-    # to each block's substream in turn
-    rng = block_rng(seed, SETTINGS_SUBSTREAM)
-    ids = _settings_ids(rng, n, policy)
+    _check_policy(policy)
     # a double u gives outcome pair 2 * (A gave -1) + (B gave -1): the number
-    # of the block's first three cumulative probabilities at or below u (the
+    # of its block's first three cumulative probabilities at or below u (the
     # fourth is 1 > u), which is what searchsorted(side="right") would return;
     # the trial's code is 4 * block + that pair
-    block_cuts: list[np.ndarray | None] = []
-    for j in (1, 2):
-        for k in (1, 2):
-            cells = np.array(b.block(j, k))
-            total = cells.sum()
-            block_cuts.append(np.cumsum(cells / total)[:3] if total > 0.0 else None)
+    cells = np.array(b.probs).reshape(4, 4)
+    totals = cells.sum(axis=1)
+    live = totals > 0.0
+    cuts = np.cumsum(np.divide(cells, totals[:, None], out=np.zeros((4, 4)), where=live[:, None]), axis=1)
 
-    drawn = [0, 0, 0, 0]  # doubles taken so far from each block's stream
+    ids = np.empty(n, dtype=np.uint8)
     pieces = max(min(n_shards, n), -(-n // _PIECE))
-    for s in range(pieces):
-        start, end = s * n // pieces, (s + 1) * n // pieces
-        ids_s = ids[start:end]
-        order = np.argsort(ids_s, kind="stable")
-        code_sorted = np.empty(end - start, dtype=np.uint8)
-        pos = 0
-        for g in range(4):
-            m = int(np.count_nonzero(ids_s == g))
-            if not m:
-                continue
-            cuts = block_cuts[g]
-            if cuts is None:
-                j, k = 1 + g // 2, 1 + g % 2
-                raise ValueError(f"block ({j},{k}) has zero total probability")
-            _seek(rng.bit_generator, seed, g, skip=drawn[g])
-            u = rng.random(m)
-            out = code_sorted[pos : pos + m]
-            np.greater_equal(u, cuts[0], out=out.view(bool))
-            out += (u >= cuts[1]).view(np.uint8)
-            out += (u >= cuts[2]).view(np.uint8)
-            out += 4 * g
-            drawn[g] += m
-            pos += m
-        ids_s[order] = code_sorted  # the piece's ids are done with: codes replace them
+    bounds = [(s * n // pieces, (s + 1) * n // pieces) for s in range(pieces)]
+    workers = min(pieces, _usable_cpus()) if pieces > 1 else 1
+    # the workers share half a piece's worth of buffers: each sorts runs of
+    # _PIECE / (2 * workers) trials, but none shorter than _PIECE / 16
+    run = max(_PIECE // (2 * workers), _PIECE // 16)
+
+    def settle(s: int) -> tuple[np.random.Generator, list[list[int]]]:
+        # phase 1: the piece's settings, and how many trials of each block
+        # each of its runs holds
+        start, end = bounds[s]
+        # one Philox per piece: it draws the settings, then is re-keyed to
+        # each block's substream in turn
+        rng = block_rng(seed, SETTINGS_SUBSTREAM, skip=start)
+        counts = []
+        for lo in range(start, end, run):
+            ids_r = ids[lo : min(lo + run, end)]
+            _settings_ids(rng, ids_r, lo, policy)
+            counts.append([int(np.count_nonzero(ids_r == g)) for g in range(4)])
+        return rng, counts
+
+    settled = _each_piece(settle, pieces, workers)
+
+    # phase 2: each piece's first double in each block's stream, from the
+    # running sums of the block counts of the pieces before it
+    drawn = [0, 0, 0, 0]
+    firsts = []
+    for _, runs in settled:
+        counts = [sum(c) for c in zip(*runs)]
+        for g, m in enumerate(counts):
+            if m and not live[g]:
+                raise ValueError(f"block ({1 + g // 2},{1 + g % 2}) has zero total probability")
+        firsts.append(drawn)
+        drawn = [d + m for d, m in zip(drawn, counts)]
+
+    def draw(s: int) -> None:
+        # phase 3: the piece's outcomes, run by run: a stable sort of the
+        # block ids (a radix sort of bytes) groups each block's trials, and
+        # their codes are scattered back through the sort order
+        rng, runs = settled[s]
+        skip = list(firsts[s])  # each block stream's next double
+        lo = bounds[s][0]
+        for counts in runs:
+            ids_r = ids[lo : lo + sum(counts)]
+            order = np.argsort(ids_r, kind="stable")
+            code_sorted = np.empty(len(ids_r), dtype=np.uint8)
+            pos = 0
+            for g, m in enumerate(counts):
+                if not m:
+                    continue
+                _seek(rng.bit_generator, seed, g, skip=skip[g])
+                u = rng.random(m)
+                out = code_sorted[pos : pos + m]
+                np.greater_equal(u, cuts[g, 0], out=out.view(bool))
+                out += (u >= cuts[g, 1]).view(np.uint8)
+                out += (u >= cuts[g, 2]).view(np.uint8)
+                out += 4 * g
+                skip[g] += m
+                pos += m
+            ids_r[order] = code_sorted  # the run's ids are done with: codes replace them
+            lo += len(ids_r)
+
+    _each_piece(draw, pieces, workers)
     return TrialLog._of_codes(ids)
 
 
@@ -516,6 +606,12 @@ def check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be in (0, 0.5)")
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _z_alpha(alpha: float) -> float:
+    """The one-sided normal quantile of level ``alpha``, computed once per alpha."""
+    return NormalDist().inv_cdf(1.0 - alpha)
+
+
 def test_inequality(
     stats: SampleStats, q: HardyQuadruple, alpha: float = 0.01
 ) -> InequalityTestResult:
@@ -546,7 +642,7 @@ def test_inequality(
     se = math.sqrt(sum(stats.stderr[c - 1] ** 2 for c in cells))
     lower = (pk + pl + pm) - pj
     upper = 1.0 + pj - (pk + pl + pm)
-    z_alpha = NormalDist().inv_cdf(1.0 - alpha)
+    z_alpha = _z_alpha(alpha)
     return InequalityTestResult(
         quadruple=q,
         alpha=alpha,

@@ -4,11 +4,15 @@ The pinned stream vectors freeze the exact Philox keying and word layout;
 any change to the substream scheme or the skip rule breaks them.
 """
 
+import concurrent.futures
 import csv
 import hashlib
 import io
 import math
+import os
+import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -792,3 +796,190 @@ class TestCodeByte:
             tracemalloc.stop()
         assert sum(stats.trials_per_block) == n
         assert peak <= 4 * n
+
+
+def _reference_settings_ids(rng: np.random.Generator, n: int, policy: str) -> np.ndarray:
+    # the serial settings draw `simulate` used before its pieces ran on threads
+    if policy == "uniform":
+        # in pieces, so the doubles never take more than O(_PIECE) memory
+        ids = np.empty(n, dtype=np.uint8)
+        for i in range(0, n, montecarlo._PIECE):
+            u = rng.random(min(montecarlo._PIECE, n - i))
+            u *= 4.0
+            ids[i : i + len(u)] = u  # the cast truncates 4u to the block id
+        return ids
+    if policy == "roundrobin":
+        return np.resize(np.arange(4, dtype=np.uint8), n)
+    raise ValueError(f"unknown settings policy {policy!r}")
+
+
+def _reference_simulate(b: Behavior, n: int, seed: int, policy: str, n_shards: int) -> TrialLog:
+    """The serial loop `simulate` ran before its pieces ran on threads, verbatim."""
+    _seek = montecarlo._seek
+    _PIECE = montecarlo._PIECE
+    # one Philox for the whole call: it draws the settings, then is re-keyed
+    # to each block's substream in turn
+    rng = block_rng(seed, SETTINGS_SUBSTREAM)
+    ids = _reference_settings_ids(rng, n, policy)
+    block_cuts: list[np.ndarray | None] = []
+    for j in (1, 2):
+        for k in (1, 2):
+            cells = np.array(b.block(j, k))
+            total = cells.sum()
+            block_cuts.append(np.cumsum(cells / total)[:3] if total > 0.0 else None)
+
+    drawn = [0, 0, 0, 0]  # doubles taken so far from each block's stream
+    pieces = max(min(n_shards, n), -(-n // _PIECE))
+    for s in range(pieces):
+        start, end = s * n // pieces, (s + 1) * n // pieces
+        ids_s = ids[start:end]
+        order = np.argsort(ids_s, kind="stable")
+        code_sorted = np.empty(end - start, dtype=np.uint8)
+        pos = 0
+        for g in range(4):
+            m = int(np.count_nonzero(ids_s == g))
+            if not m:
+                continue
+            cuts = block_cuts[g]
+            if cuts is None:
+                j, k = 1 + g // 2, 1 + g % 2
+                raise ValueError(f"block ({j},{k}) has zero total probability")
+            _seek(rng.bit_generator, seed, g, skip=drawn[g])
+            u = rng.random(m)
+            out = code_sorted[pos : pos + m]
+            np.greater_equal(u, cuts[0], out=out.view(bool))
+            out += (u >= cuts[1]).view(np.uint8)
+            out += (u >= cuts[2]).view(np.uint8)
+            out += 4 * g
+            drawn[g] += m
+            pos += m
+        ids_s[order] = code_sorted  # the piece's ids are done with: codes replace them
+    return TrialLog._of_codes(ids)
+
+
+def _zero_blocks_box() -> Behavior:
+    # blocks (1,2) and (2,1) carry no probability, (1,1) and (2,2) all of it
+    return Behavior((0.25,) * 4 + (0.0,) * 8 + (0.25,) * 4)
+
+
+class TestThreads:
+    """`simulate` runs its pieces on up to one thread per usable CPU; the log
+    is the serial loop's byte for byte, whatever the CPU count."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    @pytest.mark.parametrize("policy", ["uniform", "roundrobin"])
+    @pytest.mark.parametrize("box", [mermin_box, pr_box, kwiat_hardy_box])
+    def test_log_equals_the_serial_loop(self, monkeypatch, box, policy, seed):
+        b = box()
+        for n in (0, 1, 7, 500, 2**18 - 1, 2**18 + 1, 3 * 2**18 - 1, 10**6 + 3):
+            for shards in (1, 2, 3, 16, 37):
+                want = _reference_simulate(b, n, seed, policy, shards).code.tobytes()
+                for cpus in (1, 2, 5):
+                    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda c=cpus: c)
+                    got = simulate(b, n, seed, policy, shards).code.tobytes()
+                    assert got == want, (n, shards, cpus)
+
+    @staticmethod
+    def _first_trials(seed: int, n: int, shards: int) -> dict[int, int]:
+        # the piece holding the first trial of each block
+        ids = settings_sequence(n, seed)
+        return {g: int(np.flatnonzero(ids == g)[0]) * shards // n for g in range(4)}
+
+    def test_error_names_the_serial_loops_block_before_any_outcome(self, monkeypatch):
+        # block (2,1) first turns up a piece before block (1,2) does, so the
+        # error names (2,1) although (1,2) comes first in block order
+        n, shards, seed = 64, 16, 3
+        first = self._first_trials(seed, n, shards)
+        assert first[2] < first[1]
+        b = _zero_blocks_box()
+        with pytest.raises(ValueError) as serial:
+            _reference_simulate(b, n, seed, "uniform", shards)
+        assert str(serial.value) == "block (2,1) has zero total probability"
+
+        seek = montecarlo._seek
+        keyed = []
+
+        def recording_seek(bg, seed, substream, skip=0):
+            keyed.append(substream)
+            return seek(bg, seed, substream, skip)
+
+        monkeypatch.setattr(montecarlo, "_seek", recording_seek)
+        threads = threading.active_count()
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda c=cpus: c)
+            keyed.clear()
+            with pytest.raises(ValueError) as threaded:
+                simulate(b, n, seed, "uniform", shards)
+            assert str(threaded.value) == str(serial.value)
+            assert set(keyed) == {SETTINGS_SUBSTREAM}  # settings drawn, no outcome
+            assert threading.active_count() == threads
+
+    def test_threads_are_joined_and_a_worker_failure_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
+        started = []
+        thread = threading.Thread
+
+        class CountedThread(thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        threads = threading.active_count()
+        mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        want = _reference_simulate(mermin_box(), 10_000, 9, "uniform", 8)
+        assert simulate(mermin_box(), 10_000, 9, n_shards=8) == want
+        assert 1 <= len(started) <= 10  # a pool of at most five threads in each of two phases
+        assert threading.active_count() == threads
+        # the pool's threads are pinned, the caller's is left as it was
+        assert mask is None or os.sched_getaffinity(0) == mask
+
+        settings_ids = montecarlo._settings_ids
+
+        def failing_settings_ids(rng, ids, start, policy):
+            if start >= 5_000:
+                raise RuntimeError(f"piece at {start} failed")
+            return settings_ids(rng, ids, start, policy)
+
+        monkeypatch.setattr(montecarlo, "_settings_ids", failing_settings_ids)
+        with pytest.raises(RuntimeError, match="^piece at 5000 failed$"):
+            simulate(mermin_box(), 10_000, 9, n_shards=8)
+        assert threading.active_count() == threads
+
+    def test_many_short_pieces_on_more_threads_than_cores(self, monkeypatch):
+        # the pool's workers take pieces off one shared queue; a piece lost
+        # or drawn twice would change the log
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        want = _reference_simulate(kwiat_hardy_box(), 300_007, 12, "uniform", 101)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            for _ in range(5):
+                assert simulate(kwiat_hardy_box(), 300_007, 12, n_shards=101) == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - start < 60.0
+
+    @pytest.mark.parametrize("n", [500, 2**18])
+    def test_one_piece_starts_no_thread(self, monkeypatch, n):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
+        want = _reference_simulate(pr_box(), n, 4, "uniform", 1)
+        assert simulate(pr_box(), n, 4) == want
+
+    def test_z_quantile_is_computed_once_per_alpha(self):
+        stats = estimate(simulate(mermin_box(), 2_000, seed=1))
+        q = quadruple_for(1, 13)
+        montecarlo._z_alpha.cache_clear()
+        for _ in range(3):
+            result = run_inequality_test(stats, q, alpha=0.01)
+        info = montecarlo._z_alpha.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        z = NormalDist().inv_cdf(1.0 - 0.01)
+        assert montecarlo._z_alpha(0.01) == z
+        assert result.violated_lower == (result.z_lower < -z)
