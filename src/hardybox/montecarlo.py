@@ -482,26 +482,38 @@ def simulate(
         rng, runs = settled[s]
         skip = list(firsts[s])  # each block stream's next double
         lo = bounds[s][0]
-        for counts in runs:
-            ids_r = ids[lo : lo + sum(counts)]
-            order = np.argsort(ids_r, kind="stable")
-            code_sorted = np.empty(len(ids_r), dtype=np.uint8)
-            pos = 0
-            for g, m in enumerate(counts):
-                if not m:
-                    continue
-                _seek(rng.bit_generator, seed, g, skip=skip[g])
-                u = rng.random(m)
-                out = code_sorted[pos : pos + m]
-                np.greater_equal(u, cuts[g, 0], out=out.view(bool))
-                out += (u >= cuts[g, 1]).view(np.uint8)
-                out += (u >= cuts[g, 2]).view(np.uint8)
-                out += 4 * g
-                skip[g] += m
-                pos += m
-            ids_r[order] = code_sorted  # the run's ids are done with: codes replace them
-            lo += len(ids_r)
+        bufs = spare.pop()  # one set per running draw; list pops and appends are atomic
+        u_buf, codes, above = bufs
+        try:
+            for counts in runs:
+                ids_r = ids[lo : lo + sum(counts)]
+                order = np.argsort(ids_r, kind="stable")
+                code_sorted = codes[: len(ids_r)]
+                pos = 0
+                for g, m in enumerate(counts):
+                    if not m:
+                        continue
+                    _seek(rng.bit_generator, seed, g, skip=skip[g])
+                    u = rng.random(out=u_buf[:m])
+                    out = code_sorted[pos : pos + m]
+                    np.greater_equal(u, cuts[g, 0], out=out.view(bool))
+                    for cut in cuts[g, 1:3]:
+                        out += np.greater_equal(u, cut, out=above[:m]).view(np.uint8)
+                    out += 4 * g
+                    skip[g] += m
+                    pos += m
+                ids_r[order] = code_sorted  # the run's ids are done with: codes replace them
+                lo += len(ids_r)
+        finally:
+            spare.append(bufs)
 
+    # the draw buffers of each worker, allocated here: a pool thread's malloc
+    # arena keeps what the thread allocates, so the threads allocate little
+    # beyond argsort's index array.  Each is no larger than the arrays the
+    # draw would allocate itself: a run's codes, one block's doubles
+    longest = max((sum(c) for _, runs in settled for c in runs), default=0)
+    most = max((max(c) for _, runs in settled for c in runs), default=0)
+    spare = [(np.empty(most), np.empty(longest, np.uint8), np.empty(most, bool)) for _ in range(workers)]
     _each_piece(draw, pieces, workers)
     return TrialLog._of_codes(ids)
 

@@ -23,11 +23,19 @@ with analytic gradients from each of a set of uniform random starts drawn by
 numpy's generator with a fixed seed, so results reproduce; the zeros are
 equality constraints on the cell amplitudes, smooth trig polynomials of the
 angles.  scipy supplies the solver: with scipy >= 1.16 its SLSQP kernel,
-`scipy.optimize._slsqplib.slsqp`, driven here directly (`_descend`), and
-with older scipy `scipy.optimize.minimize`, which takes the same steps
-through its own Python layer.  It is imported on the first search, so
-importing the package, and every command that does not search, runs
-without scipy.
+`scipy.optimize._slsqplib.slsqp`, driven here directly, and with older
+scipy `scipy.optimize.minimize`, one start after another, which takes the
+same steps through its own Python layer.  It is imported on the first
+search, so importing the package, and every command that does not search,
+runs without scipy.
+
+The kernel's descents run in lockstep, in groups of up to 64 starts
+(`_descend`): each round steps every live descent of a group to the next
+point it asks for, and the round's new points are evaluated together.
+Where the amplitudes are floats (below) that is one numpy pass over all of
+them (`_batch_evaluator`), elementwise with the same float operations in
+the same order, so each point gets the same bits as alone; complex
+amplitudes, and rounds of a few points, go point by point.
 
 In real mode (the default) every search point is one pass in float
 arithmetic: the state, the eigenvectors and hence the amplitudes are real
@@ -236,6 +244,12 @@ class OptimizerConfig:
     (phases zero), which is enough for every extremum this package targets
     and roughly halves the search dimension; ``product_mode`` restricts the
     state to a tensor product.
+
+    The descents run in lockstep in groups of 64 starts, so a search holds
+    at most 64 SLSQP workspaces at once, about 6 KB each in real mode and
+    20 KB in complex mode: a ``starts=4096`` Hardy search peaked at 2.3 MB
+    (real) and 3.7 MB (complex) of Python allocations (tracemalloc), where
+    descents one at a time took 1.6 and 1.9 MB.
     """
 
     starts: int = 64
@@ -272,10 +286,13 @@ class OptimizerConfig:
         return OptimizerConfig(**doc)
 
 
-def _hypersphere(a: Sequence[float]) -> tuple[list[float], list[list[float]]]:
-    """Unit 4-vector from three hyperspherical angles, and its derivative per angle."""
-    s0, s1, s2 = (math.sin(t) for t in a)
-    c0, c1, c2 = (math.cos(t) for t in a)
+def _hypersphere(a: Sequence[float], trig=math) -> tuple[list[float], list[list[float]]]:
+    """Unit 4-vector from three hyperspherical angles, and its derivative per angle.
+
+    ``trig`` is `math`, or `numpy` for rows of angles, one entry per point.
+    """
+    s0, s1, s2 = (trig.sin(t) for t in a)
+    c0, c1, c2 = (trig.cos(t) for t in a)
     coords = [c0, s0 * c1, s0 * s1 * c2, s0 * s1 * s2]
     jac = [
         [-s0, c0 * c1, c0 * s1 * c2, c0 * s1 * s2],
@@ -285,12 +302,14 @@ def _hypersphere(a: Sequence[float]) -> tuple[list[float], list[list[float]]]:
     return coords, jac
 
 
-def _qubit(theta: float, phi: float) -> tuple[tuple[complex, complex], list[tuple[complex, complex]]]:
+def _qubit(
+    theta: float, phi: float, trig=math
+) -> tuple[tuple[complex, complex], list[tuple[complex, complex]]]:
     """(cos theta, e^{i phi} sin theta) and its theta and phi derivatives.
 
-    Real, like `_eigenstates`, where ``phi == 0``.
+    Real, like `_eigenstates`, where ``phi == 0``; ``trig`` as in `_hypersphere`.
     """
-    c, s, ph = math.cos(theta), math.sin(theta), cmath.exp(1j * phi) if phi else 1.0
+    c, s, ph = trig.cos(theta), trig.sin(theta), cmath.exp(1j * phi) if phi else 1.0
     return (c, ph * s), [(-s, ph * c), (0.0, 1j * ph * s)]
 
 
@@ -323,17 +342,21 @@ class _SearchSpace:
         # cell amplitudes are real functions of x only in real mode with a real state
         self.complex_amps = not real_mode or not real_state
 
-    def state_of(self, x: np.ndarray) -> tuple[tuple[complex, ...], list[tuple[complex, ...]]]:
-        """The amplitudes psi(x) and d(psi)/dx for each state parameter."""
+    def state_of(self, x: np.ndarray, trig=math) -> tuple[tuple[complex, ...], list[tuple[complex, ...]]]:
+        """The amplitudes psi(x) and d(psi)/dx for each state parameter.
+
+        With ``trig=numpy`` in real mode, ``x`` may hold one row of points
+        per parameter, and each amplitude is an array over those points.
+        """
         if self.fixed_state is not None:
             return self._fixed_psi, []
         if self.product_mode:
             keep = 1 if self.real_mode else 2
             angles = ((x[0], 0.0), (x[1], 0.0)) if self.real_mode else ((x[0], x[1]), (x[2], x[3]))
-            (qa, dqa), (qb, dqb) = (_qubit(*t) for t in angles)
+            (qa, dqa), (qb, dqb) = (_qubit(*t, trig) for t in angles)
             dpsi = [_kron2(d, qb) for d in dqa[:keep]] + [_kron2(qa, d) for d in dqb[:keep]]
             return _kron2(qa, qb), dpsi
-        mags, dmags = _hypersphere(x[0:3])
+        mags, dmags = _hypersphere(x[0:3], trig)
         if self.real_mode:
             return tuple(mags), dmags
         phases = (1.0, *(cmath.exp(1j * p) for p in x[3:6]))
@@ -373,7 +396,7 @@ def _starts(space: _SearchSpace, n: int, seed: int) -> np.ndarray:
 class SearchDiagnostics:
     """How a search reached its result; no wall time, so it reproduces.
 
-    ``kernel_evaluations`` counts `_born_amps` calls over all descents;
+    ``kernel_evaluations`` counts the points evaluated over all descents;
     ``max_constrained_cell`` is the largest constrained probability at the
     returned point (0 without constraints); ``stationarity_residual`` is
     the KKT residual there, max |grad f - J^T lambda| over the search
@@ -479,54 +502,208 @@ def _evaluator(
     return evaluate
 
 
-def _descend(evaluate: Callable, x0: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One SLSQP descent from ``x0``: the end point and whether SLSQP succeeded.
+def _batch_evaluator(
+    space: _SearchSpace, objective_cells: Sequence[int], zero_cells: Sequence[int], sign: float
+) -> Callable[[np.ndarray], list[tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]]] | None:
+    """`_evaluator` for many points in one numpy pass; None where amplitudes are complex.
 
-    ``evaluate`` is an `_evaluator`; its zero amplitudes are the equality
-    constraints.  The kernel talks by reverse communication: each call
-    returns with ``mode`` 1 to ask for the value and constraints at ``x``,
-    -1 for the gradient and Jacobian, 0 on success and anything else on
-    failure.  This loop passes it exactly what `scipy.optimize.minimize`
-    passes (state, workspace sizes, NaN bounds for none), so a descent takes
-    the same steps bit for bit, without minimize's Python layer, which costs
-    more than the kernel itself.  Where scipy lacks the kernel the descent is
-    `minimize`.
+    ``evaluate_many(xs)`` returns one `_evaluator` result per row of ``xs``,
+    equal to it bit for bit.  Every amplitude and derivative is an array over
+    the points, one row per cell, computed by `_born_amps`' float expressions
+    elementwise in the same order: each cell gathers its eigenvector
+    components by index from one table of them, and elementwise float64
+    ``+`` and ``*`` round as Python floats do.  The sums over cells run as
+    `_evaluator` runs them, `_numpy_sum` for the value and one row at a time
+    from 0.0 for the gradient.  The trig comes from ``np.sin`` and
+    ``np.cos`` where `_evaluator` takes ``math.sin`` and ``math.cos``, so
+    the bits agree only where numpy's float64 sin and cos round as the C
+    library's do (a test checks that on a fixed sample); where they do not,
+    a descent's steps would depend on how many points share its rounds.
     """
-    slsqp = _slsqp_kernel()
-    (fx, g), zeros, jac, _ = evaluate(x0.tobytes())
-    n, m = len(x0), len(zeros)
-    if slsqp is None:
-        constraints = [{
-            "type": "eq",
-            "fun": lambda x: evaluate(x.tobytes())[1],
-            "jac": lambda x: evaluate(x.tobytes())[2],
-        }] if m else []
-        res = minimize(
-            lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
-            constraints=constraints, options={"maxiter": _MAXITER, "ftol": _FTOL},
+    if space.complex_amps:
+        return None
+    cells = (*objective_cells, *zero_cells)
+    n_obj, twice, n_psi = len(objective_cells), 2.0 * sign, space.n_state
+    j, k, m, n = np.array([_CELL_COORDS[c] for c in cells]).T
+    # rows of the eigenvector table: 4 * (outcome slot + component) + direction,
+    # with slots 0 for e_{+1} and 2 for e_{-1}
+    e_a, e_b = 4 * (1 - m) + j - 1, 4 * (1 - n) + 1 + k
+    flip_a, flip_b = 4 * (1 + m) + j - 1, 4 * (1 + n) + 1 + k
+    gather = np.array([e_a, e_a + 4, e_b, e_b + 4, flip_a, flip_a + 4, flip_b, flip_b + 4])
+    rows, col_a, col_b = np.arange(len(cells)), n_psi + j - 1, n_psi + 1 + k
+    half_m, half_n = (-0.5 * m)[:, None], (-0.5 * n)[:, None]
+
+    def evaluate_many(xs: np.ndarray) -> list:
+        x = xs.T  # one row per search angle
+        psi, dpsi = space.state_of(x, np)
+        # `_eigenstates` at phi = -0.0: (cos, 1.0 * sin) and (sin, -1.0 * cos)
+        half = 0.5 * x[n_psi:]
+        cos, sin = np.cos(half), np.sin(half)
+        a0, a1, b0, b1, f0, f1, g0, g1 = np.concatenate((cos, sin, sin, -cos))[gather]
+        p0, p1, p2, p3 = psi
+        u0, u1 = b0 * p0 + b1 * p1, b0 * p2 + b1 * p3
+        amps = a0 * u0 + a1 * u1
+        jac = np.zeros((len(cells), space.dims, len(xs)))
+        if dpsi:  # (component, state parameter, 1, point)
+            d = np.empty((4, n_psi, 1, len(xs)))
+            for i, row in enumerate(dpsi):
+                for c, v in enumerate(row):
+                    d[c, i] = v
+            d0, d1, d2, d3 = d
+            jac[:, :n_psi] = (a0 * (b0 * d0 + b1 * d1) + a1 * (b0 * d2 + b1 * d3)).transpose(1, 0, 2)
+        jac[rows, col_a] = half_m * (f0 * u0 + f1 * u1)
+        jac[rows, col_b] = half_n * (a0 * (g0 * p0 + g1 * p1) + a1 * (g0 * p2 + g1 * p3))
+        obj, z = amps[:n_obj], amps[n_obj:]
+        acc = np.zeros((space.dims, len(xs)))
+        for o, row in zip(obj, jac):
+            acc = acc + o * row
+        values = (sign * _numpy_sum(obj * obj)).tolist()
+        grads = (twice * acc).T.copy()  # the kernel reads a contiguous gradient
+        resids = [max(r, default=0.0) for r in (z * z).T.tolist()]
+        return list(zip(zip(values, grads), z.T, jac[n_obj:].transpose(2, 0, 1), resids))
+
+    return evaluate_many
+
+
+# Rounds with fewer new points than this go one point at a time through
+# `_evaluator`: a batched pass cost about 60 us at 1 point, 70 us at 4, 85 us
+# at 16 and 140 us at 64, a scalar point about 18 us, so they break even at
+# about 4 (Hardy objective, 2-core x86-64 host, Python 3.11.7, numpy 2.4.6)
+_BATCH_MIN = 4
+
+
+def _evaluate_points(evaluate: Callable, evaluate_many: Callable | None, xs: Sequence[np.ndarray]) -> list:
+    """`_evaluator` results at ``xs``: batched, or point by point for few points."""
+    if evaluate_many is None or len(xs) < _BATCH_MIN:
+        return [evaluate(x.tobytes()) for x in xs]
+    return evaluate_many(np.array(xs))
+
+
+class _Descent:
+    """One SLSQP descent: the kernel's state dict and work arrays, and the
+    last point evaluated with its `_evaluator` result."""
+
+    __slots__ = ("state", "work", "x", "d", "C", "key", "point", "fx", "g")
+
+    def __init__(self, x0: np.ndarray, point: tuple, m: int):
+        n = len(x0)
+        self.state = {
+            "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+            "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL, "exact": 0, "inconsistent": 0,
+            "reset": 0, "iter": 0, "itermax": _MAXITER, "line": 0, "m": m, "meq": m, "mode": 0,
+            "n": n,
+        }
+        # scipy's workspace formula with every constraint an equality
+        size = n * (n + 1) // 2 + 2 * n * (n + 1) + 8 * n * n + 35 * n - 2 * m * n + 2 * m + 28
+        self.work = (  # multipliers, NaN bounds for none, workspace, indices
+            np.zeros(m + 2 * n + 2), np.full(n, np.nan), np.full(n, np.nan),
+            np.zeros(size), np.zeros(m + 2 * n + 2, dtype=np.int32),
         )
-        return res.x, bool(res.success)
-    state = {
-        "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
-        "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL, "exact": 0, "inconsistent": 0,
-        "reset": 0, "iter": 0, "itermax": _MAXITER, "line": 0, "m": m, "meq": m, "mode": 0, "n": n,
-    }
-    # scipy's workspace formula with every constraint an equality
-    size = n * (n + 1) // 2 + 2 * n * (n + 1) + 8 * n * n + 35 * n - 2 * m * n + 2 * m + 28
-    buffer, indices = np.zeros(size), np.zeros(m + 2 * n + 2, dtype=np.int32)
-    mult, lower, upper = np.zeros(m + 2 * n + 2), np.full(n, np.nan), np.full(n, np.nan)
-    x, d, C = np.array(x0), np.zeros(max(1, m)), np.zeros((max(1, m), n), order="F")
-    d[:m], C[:m] = zeros, jac.reshape(m, n)  # a sigma search has no constraint rows
-    while True:
-        slsqp(state, fx, g, C, d, x, mult, lower, upper, buffer, indices)
-        mode = state["mode"]
+        self.x, self.d, self.C = np.array(x0), np.zeros(max(1, m)), np.zeros((max(1, m), n), order="F")
+        self.key, self.point = self.x.tobytes(), point
+        (self.fx, self.g), zeros, jac, _ = point
+        self.d[:m], self.C[:m] = zeros, jac.reshape(m, n)  # a sigma search has no constraint rows
+
+    def step(self, slsqp: Callable) -> bool:
+        """Call the kernel until it asks for a new point (True) or stops (False)."""
+        while True:
+            slsqp(self.state, self.fx, self.g, self.C, self.d, self.x, *self.work)
+            if self.x.tobytes() != self.key:
+                return True
+            if not self.answer():
+                return False
+
+    def take(self, point: tuple) -> None:
+        """Hold ``point``, the evaluation at the new ``x``, and answer from it."""
+        self.key, self.point = self.x.tobytes(), point
+        self.answer()
+
+    def answer(self) -> bool:
+        """Pass the kernel what it asked for from the point held; False if it stopped."""
+        m, n, mode = self.state["m"], self.state["n"], self.state["mode"]
         if mode == 1:
-            (fx, _), d[:m], _, _ = evaluate(x.tobytes())
+            (self.fx, _), self.d[:m], _, _ = self.point
         elif mode == -1:
-            (_, g), _, jac, _ = evaluate(x.tobytes())
-            C[:m] = jac.reshape(m, n)
-        else:
-            return x, mode == 0
+            (_, self.g), _, jac, _ = self.point
+            self.C[:m] = jac.reshape(m, n)
+        return abs(mode) == 1
+
+
+# Starts per lockstep group: a search holds at most this many SLSQP
+# workspaces at once (about 6 KB each in real mode, 20 KB in complex mode),
+# and a batched round of 64 points already costs about 2 us a point
+_LOCKSTEP_STARTS = 64
+
+
+def _descend(
+    evaluate: Callable, evaluate_many: Callable | None, x0s: np.ndarray
+) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
+    """One SLSQP descent from each row of ``x0s``, in lockstep groups.
+
+    Returns each descent's end point, whether SLSQP succeeded, and the
+    value and largest constrained probability there; and the number of
+    points evaluated.
+    ``evaluate`` is an `_evaluator`, ``evaluate_many`` its `_batch_evaluator`
+    or None; the zero amplitudes are the equality constraints.
+
+    scipy's SLSQP kernel talks by reverse communication: each call returns
+    with ``mode`` 1 to ask for the value and constraints at ``x``, -1 for
+    the gradient and Jacobian, 0 on success and anything else on failure.
+    Each descent passes it exactly what `scipy.optimize.minimize` passes
+    (state, workspace sizes, NaN bounds for none), so it takes the same
+    steps bit for bit, without minimize's Python layer.  The starts run in
+    groups of `_LOCKSTEP_STARTS`, one after another.  Each round of a group
+    calls the kernel of every live descent until it asks for a point other
+    than the one it holds, or stops; then all new points of the round,
+    including end points not yet evaluated, are evaluated together
+    (`_evaluate_points`), and the descents that stopped drop out.  A point's
+    evaluation does not depend on the others of its round, so neither does
+    any descent.
+    """
+    ends: list = []
+    evaluations = 0
+    for lo in range(0, len(x0s), _LOCKSTEP_STARTS):
+        group_ends, group_evaluations = _lockstep(evaluate, evaluate_many, x0s[lo : lo + _LOCKSTEP_STARTS])
+        ends += group_ends
+        evaluations += group_evaluations
+    return ends, evaluations
+
+
+def _lockstep(
+    evaluate: Callable, evaluate_many: Callable | None, x0s: np.ndarray
+) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
+    """`_descend` for one group of starts, all live at once."""
+    slsqp = _slsqp_kernel()
+    points = _evaluate_points(evaluate, evaluate_many, list(x0s))
+    live = {i: _Descent(x0, point, len(point[1])) for i, (x0, point) in enumerate(zip(x0s, points))}
+    ends: list = [None] * len(live)
+    evaluations = len(live)
+    while live:
+        asked = [ds for ds in live.values() if ds.step(slsqp)]
+        for ds, point in zip(asked, _evaluate_points(evaluate, evaluate_many, [ds.x for ds in asked])):
+            ds.take(point)
+        evaluations += len(asked)
+        for i, ds in list(live.items()):
+            if abs(ds.state["mode"]) != 1:  # stopped: keep what the ranking reads, free the rest
+                (value, _), _, _, resid = ds.point
+                ends[i] = (ds.x, ds.state["mode"] == 0, value, resid)
+                del live[i]
+    return ends, evaluations
+
+
+def _minimize_descent(evaluate: Callable, x0: np.ndarray) -> tuple[np.ndarray, bool, float, float]:
+    """One descent through `minimize`, where scipy lacks the kernel: as `_descend`."""
+    constraints = [{
+        "type": "eq",
+        "fun": lambda x: evaluate(x.tobytes())[1],
+        "jac": lambda x: evaluate(x.tobytes())[2],
+    }] if len(evaluate(x0.tobytes())[1]) else []
+    res = minimize(
+        lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
+        constraints=constraints, options={"maxiter": _MAXITER, "ftol": _FTOL},
+    )
+    (value, _), _, _, resid = evaluate(res.x.tobytes())
+    return res.x, bool(res.success), value, resid
 
 
 def _stationarity_residual(grad: np.ndarray, jac: np.ndarray) -> float:
@@ -555,22 +732,28 @@ def _extremize(
     no descent qualifies.
     """
     evaluate = _evaluator(space, objective_cells, zero_cells, sign)
-
-    def descend(x0: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
-        x, success = _descend(evaluate, x0)
-        (value, _), _, _, resid = evaluate(x.tobytes())
-        return x, value, resid, success and resid <= cfg.constraint_tol
-
-    results = [descend(x0) for x0 in _starts(space, cfg.starts, cfg.seed)]
+    x0s = _starts(space, cfg.starts, cfg.seed)
+    if _slsqp_kernel() is None:
+        ends = [_minimize_descent(evaluate, x0) for x0 in x0s]
+        evaluations = evaluate.cache_info().misses
+    else:
+        evaluate_many = _batch_evaluator(space, objective_cells, zero_cells, sign)
+        ends, evaluations = _descend(evaluate, evaluate_many, x0s)
+    results = [(x, f, resid, ok and resid <= cfg.constraint_tol) for x, ok, f, resid in ends]
     feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
     if not feasible:
+        hint = ""
+        if space.real_mode and space.complex_amps:
+            hint = (
+                "; the fixed state has complex amplitudes, and real_mode keeps every direction "
+                "in the x-z plane, where its zeros may be out of reach: try real_mode false"
+            )
         raise ConvergenceError(
             f"none of {cfg.starts} starts converged with constrained cells within "
-            f"{cfg.constraint_tol:g} (smallest residual {min(r[2] for r in results):.3e})"
+            f"{cfg.constraint_tol:g} (smallest residual {min(r[2] for r in results):.3e}){hint}"
         )
     _, winner = min(feasible)
     x, _, resid, _ = results[winner]
-    evaluations = evaluate.cache_info().misses  # before the winner is evaluated again
     (_, grad), _, jac, _ = evaluate(x.tobytes())
     state, settings = space.unpack(x)
     return state, settings, born_behavior(state, settings), SearchDiagnostics(

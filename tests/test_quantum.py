@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -489,48 +490,80 @@ class TestStartsAndDescents:
         for k in (1, 5, 255):
             assert np.array_equal(quantum._starts(space, k, 20201), x[:k])
 
+    @staticmethod
+    def assert_one_descent_per_start(monkeypatch):
+        """Search with the descent path this scipy has, recording its calls:
+        one lockstep `_descend` call with the kernel, one `_minimize_descent`
+        call per start without; either way the starts are `_starts`'."""
+        space = _SearchSpace(SMALL_CFG.real_mode, SMALL_CFG.product_mode)
+        x0s = quantum._starts(space, SMALL_CFG.starts, SMALL_CFG.seed)
+        calls = []
+        if quantum._slsqp_kernel() is not None:
+            descend = quantum._descend
+
+            def recording(evaluate, evaluate_many, starts):
+                ends, evaluations = descend(evaluate, evaluate_many, starts)
+                calls.append((np.array(starts), ends))
+                return ends, evaluations
+
+            monkeypatch.setattr(quantum, "_descend", recording)
+            opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
+            # one lockstep call, which ends one descent per start
+            ((starts, ends),) = calls
+            assert len(starts) == len(ends) == SMALL_CFG.starts == opt.diagnostics.starts_tried
+            assert np.array_equal(starts, x0s)
+        else:
+            descend = quantum._minimize_descent
+
+            def counting(evaluate, x0):
+                calls.append(np.array(x0))
+                return descend(evaluate, x0)
+
+            monkeypatch.setattr(quantum, "_minimize_descent", counting)
+            opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
+            assert len(calls) == SMALL_CFG.starts == opt.diagnostics.starts_tried
+            assert np.array_equal(np.array(calls), x0s)
+
     def test_one_descent_per_start(self, monkeypatch):
         pytest.importorskip("scipy.optimize")
-        descend = quantum._descend
-        x0s = []
+        self.assert_one_descent_per_start(monkeypatch)
 
-        def counting(evaluate, x0):
-            x0s.append(np.array(x0))
-            return descend(evaluate, x0)
-
-        monkeypatch.setattr(quantum, "_descend", counting)
-        opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
-        assert len(x0s) == SMALL_CFG.starts == opt.diagnostics.starts_tried
-        space = _SearchSpace(SMALL_CFG.real_mode, SMALL_CFG.product_mode)
-        assert np.array_equal(x0s, quantum._starts(space, SMALL_CFG.starts, SMALL_CFG.seed))
+    def test_one_descent_per_start_through_minimize(self, monkeypatch):
+        # the path of scipy < 1.16, checked on any scipy
+        pytest.importorskip("scipy.optimize")
+        monkeypatch.setattr(quantum, "_slsqp_kernel", lambda: None)
+        self.assert_one_descent_per_start(monkeypatch)
 
     @staticmethod
     def descents_match_minimize(space, objective, zeros, x0s):
-        """Descend from each of ``x0s`` through `_descend` and through
-        minimize; assert the same end point bytes, value, success and
-        evaluation count, and return minimize's results."""
+        """Descend from each of ``x0s`` through the lockstep `_descend` and,
+        one start at a time, through minimize; assert the same end point
+        bytes, value, success and evaluation count, and return minimize's
+        results."""
         pytest.importorskip("scipy.optimize._slsqplib")
         scipy_minimize = pytest.importorskip("scipy.optimize").minimize
         direct = quantum._evaluator(space, objective, zeros, -1.0)
+        batch = quantum._batch_evaluator(space, objective, zeros, -1.0)
         reference = quantum._evaluator(space, objective, zeros, -1.0)
         constraints = [{
             "type": "eq",
             "fun": lambda x: reference(x.tobytes())[1],
             "jac": lambda x: reference(x.tobytes())[2],
         }] if zeros else []
+        ends, evaluations = quantum._descend(direct, batch, np.asarray(x0s))
+        assert len(ends) == len(x0s)
         results = []
-        for x0 in x0s:
-            x, success = quantum._descend(direct, x0)
+        for x0, (x, success, value, _) in zip(x0s, ends):
             res = scipy_minimize(
                 lambda x: reference(x.tobytes())[0], x0, jac=True, method="SLSQP",
                 constraints=constraints,
                 options={"maxiter": quantum._MAXITER, "ftol": quantum._FTOL},
             )
             assert x.tobytes() == res.x.tobytes()
-            assert direct(x.tobytes())[0][0] == res.fun
+            assert value == res.fun == reference(res.x.tobytes())[0][0]
             assert success is bool(res.success)
             results.append(res)
-        assert direct.cache_info().misses == reference.cache_info().misses
+        assert evaluations == reference.cache_info().misses
         return results
 
     @pytest.mark.parametrize("real_mode, product_mode, fixed, wide", SPACES)
@@ -587,6 +620,279 @@ class TestStartsAndDescents:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "True"]
+
+
+# The per-start descent loop that the lockstep `_descend` replaced, kept
+# verbatim as the reference it must equal bit for bit: one descent at a
+# time, one `_evaluator` call per point, through its one-point cache.
+def _reference_descend(evaluate, x0):
+    slsqp = quantum._slsqp_kernel()
+    (fx, g), zeros, jac, _ = evaluate(x0.tobytes())
+    n, m = len(x0), len(zeros)
+    if slsqp is None:
+        constraints = [{
+            "type": "eq",
+            "fun": lambda x: evaluate(x.tobytes())[1],
+            "jac": lambda x: evaluate(x.tobytes())[2],
+        }] if m else []
+        res = quantum.minimize(
+            lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
+            constraints=constraints, options={"maxiter": quantum._MAXITER, "ftol": quantum._FTOL},
+        )
+        return res.x, bool(res.success)
+    _FTOL, _MAXITER = quantum._FTOL, quantum._MAXITER
+    state = {
+        "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+        "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL, "exact": 0, "inconsistent": 0,
+        "reset": 0, "iter": 0, "itermax": _MAXITER, "line": 0, "m": m, "meq": m, "mode": 0, "n": n,
+    }
+    # scipy's workspace formula with every constraint an equality
+    size = n * (n + 1) // 2 + 2 * n * (n + 1) + 8 * n * n + 35 * n - 2 * m * n + 2 * m + 28
+    buffer, indices = np.zeros(size), np.zeros(m + 2 * n + 2, dtype=np.int32)
+    mult, lower, upper = np.zeros(m + 2 * n + 2), np.full(n, np.nan), np.full(n, np.nan)
+    x, d, C = np.array(x0), np.zeros(max(1, m)), np.zeros((max(1, m), n), order="F")
+    d[:m], C[:m] = zeros, jac.reshape(m, n)  # a sigma search has no constraint rows
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, lower, upper, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:
+            (fx, _), d[:m], _, _ = evaluate(x.tobytes())
+        elif mode == -1:
+            (_, g), _, jac, _ = evaluate(x.tobytes())
+            C[:m] = jac.reshape(m, n)
+        else:
+            return x, mode == 0
+
+
+def _reference_extremize(space, objective_cells, zero_cells, sign, cfg):
+    evaluate = quantum._evaluator(space, objective_cells, zero_cells, sign)
+
+    def descend(x0):
+        x, success = _reference_descend(evaluate, x0)
+        (value, _), _, _, resid = evaluate(x.tobytes())
+        return x, value, resid, success and resid <= cfg.constraint_tol
+
+    results = [descend(x0) for x0 in quantum._starts(space, cfg.starts, cfg.seed)]
+    feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
+    if not feasible:
+        raise ConvergenceError(
+            f"none of {cfg.starts} starts converged with constrained cells within "
+            f"{cfg.constraint_tol:g} (smallest residual {min(r[2] for r in results):.3e})"
+        )
+    _, winner = min(feasible)
+    x, _, resid, _ = results[winner]
+    evaluations = evaluate.cache_info().misses  # before the winner is evaluated again
+    (_, grad), _, jac, _ = evaluate(x.tobytes())
+    state, settings = space.unpack(x)
+    return state, settings, born_behavior(state, settings), quantum.SearchDiagnostics(
+        starts_tried=cfg.starts,
+        starts_feasible=len(feasible),
+        winning_start=winner,
+        kernel_evaluations=evaluations,
+        max_constrained_cell=resid,
+        stationarity_residual=quantum._stationarity_residual(grad, jac),
+    )
+
+
+def lockstep_and_reference(space, objective_cells, zero_cells, sign, cfg):
+    """repr of `_extremize`'s result (or its error) and the reference's."""
+    out = []
+    for extremize in (quantum._extremize, _reference_extremize):
+        try:
+            out.append(repr(extremize(space, objective_cells, zero_cells, sign, cfg)))
+        except ConvergenceError as exc:
+            out.append(f"ConvergenceError: {exc}")
+    return out
+
+
+class TestLockstep:
+    """The lockstep `_descend` returns the per-start loop's searches bit for bit."""
+
+    HARDY = quadruple_for(1, 13)
+    OBJECTIVES = {  # name: (objective cells, zero cells, sign)
+        "hardy": ((HARDY.j,), (HARDY.k, HARDY.l, HARDY.m), -1.0),
+        "sigma": (SIGMA_SUPPORTS[2], (), 1.0),
+    }
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self):
+        pytest.importorskip("scipy.optimize._slsqplib")
+
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    @pytest.mark.parametrize("real_mode, product_mode, fixed, wide", TestStartsAndDescents.SPACES)
+    def test_same_searches_in_every_space(self, real_mode, product_mode, fixed, wide, objective):
+        space = _SearchSpace(real_mode, product_mode, fixed_state=fixed)
+        got, want = lockstep_and_reference(space, *self.OBJECTIVES[objective], SMALL_CFG)
+        assert got == want
+        assert "kernel_evaluations" in got
+
+    @pytest.mark.parametrize("batch_min", [1, 2, 1000])
+    @pytest.mark.parametrize("real_mode, product_mode, fixed", [
+        (True, False, None), (True, True, None), (True, False, singlet()),
+    ])
+    def test_every_round_batched_or_none(self, monkeypatch, real_mode, product_mode, fixed, batch_min):
+        # every round through the batched pass (1), single points alone (2),
+        # or every point through `_evaluator` (1000): the same searches
+        monkeypatch.setattr(quantum, "_BATCH_MIN", batch_min)
+        space = _SearchSpace(real_mode, product_mode, fixed_state=fixed)
+        for objective in self.OBJECTIVES.values():
+            got, want = lockstep_and_reference(space, *objective, SMALL_CFG)
+            assert got == want
+
+    def test_default_search_in_every_family(self):
+        cfg = OptimizerConfig()
+        space = _SearchSpace(cfg.real_mode, cfg.product_mode)
+        for family in range(1, 9):
+            q = next(q for q in HARDY_QUADRUPLES if q.family == family)
+            got, want = lockstep_and_reference(space, (q.j,), (q.k, q.l, q.m), -1.0, cfg)
+            assert got == want, q
+
+    def test_default_sigma_extrema(self):
+        cfg = OptimizerConfig()
+        space = _SearchSpace(cfg.real_mode, cfg.product_mode)
+        for sign in (-1.0, 1.0):
+            got, want = lockstep_and_reference(space, SIGMA_SUPPORTS[1], (), sign, cfg)
+            assert got == want, sign
+
+    def test_iteration_cap(self):
+        # the sixth default start of this Hardy search stops at the cap
+        q = quadruple_for(3, 9)
+        space = _SearchSpace(True, False)
+        cfg = OptimizerConfig(starts=6)
+        evaluate = quantum._evaluator(space, (q.j,), (q.k, q.l, q.m), -1.0)
+        batch = quantum._batch_evaluator(space, (q.j,), (q.k, q.l, q.m), -1.0)
+        x0s = quantum._starts(space, cfg.starts, cfg.seed)
+        ends, _ = quantum._descend(evaluate, batch, x0s)
+        x, success, _, _ = ends[5]
+        reference = quantum._evaluator(space, (q.j,), (q.k, q.l, q.m), -1.0)
+        ref_x, ref_success = _reference_descend(reference, x0s[5])
+        assert x.tobytes() == ref_x.tobytes()
+        assert success is ref_success is False
+        got, want = lockstep_and_reference(space, (q.j,), (q.k, q.l, q.m), -1.0, cfg)
+        assert got == want
+
+    @pytest.mark.parametrize("real_mode", [True, False])
+    def test_groups_of_starts(self, monkeypatch, real_mode):
+        # starts run in groups of `_LOCKSTEP_STARTS` (24 starts in groups of
+        # 5): no round holds more points, no more descents live at once,
+        # and the searches are the same
+        monkeypatch.setattr(quantum, "_LOCKSTEP_STARTS", 5)
+        monkeypatch.setattr(quantum, "_BATCH_MIN", 1)
+        alive, peak, rounds = weakref.WeakSet(), [0], []
+
+        class Counted(quantum._Descent):
+            def __init__(self, *args):
+                super().__init__(*args)
+                alive.add(self)
+                peak[0] = max(peak[0], len(alive))
+
+        evaluate_points = quantum._evaluate_points
+
+        def recording(evaluate, evaluate_many, xs):
+            rounds.append(len(xs))
+            return evaluate_points(evaluate, evaluate_many, xs)
+
+        monkeypatch.setattr(quantum, "_Descent", Counted)
+        monkeypatch.setattr(quantum, "_evaluate_points", recording)
+        space = _SearchSpace(real_mode, False)
+        got, want = lockstep_and_reference(space, *self.OBJECTIVES["hardy"], SMALL_CFG)
+        assert got == want
+        assert peak[0] == 5 and max(rounds) == 5
+        assert rounds[:1] == [5] and 4 in rounds  # the last group holds 24 - 4 * 5
+
+    def test_complex_fixed_state_in_real_mode_names_the_cause(self):
+        state = TwoQubitState((0.5, 0.5j, -0.5, 0.5))
+        space = _SearchSpace(True, False, fixed_state=state)
+        got, want = lockstep_and_reference(space, *self.OBJECTIVES["hardy"], OptimizerConfig())
+        assert want.startswith("ConvergenceError: none of 64 starts converged")
+        assert got.startswith(want + "; ")
+        with pytest.raises(ConvergenceError, match=r"complex amplitudes.*real_mode") as exc:
+            maximize_hardy(self.HARDY, fixed_state=state)
+        assert "smallest residual 2.520e-01" in str(exc.value)
+        # without real_mode the same search meets the zeros
+        opt = maximize_hardy(self.HARDY, OptimizerConfig(real_mode=False), fixed_state=state)
+        assert opt.zero_residual <= 1e-20 and opt.pj_value > 0.08
+        # a failure in a space without that cause carries no such clause
+        cfg = OptimizerConfig(starts=1, constraint_tol=1e-300, seed=1)
+        with pytest.raises(ConvergenceError) as plain:
+            maximize_hardy(self.HARDY, cfg)
+        assert "real_mode" not in str(plain.value)
+
+
+class TestBatchEvaluator:
+    """`_batch_evaluator` against `_evaluator`, point by point, bit for bit."""
+
+    FLOAT_SPACES = {
+        "real": (True, False, None),
+        "real product": (True, True, None),
+        "fixed singlet, real": (True, False, "singlet"),
+        "fixed real state": (True, False, "real"),
+    }
+    OBJECTIVES = {
+        "hardy": ((13,), (4, 5, 9), -1.0),
+        "one cell, no zeros": ((6,), (), 1.0),
+        "sigma max": (SIGMA_SUPPORTS[3], (), -1.0),
+        "sigma min, zeros": (SIGMA_SUPPORTS[4], (1, 16), 1.0),
+    }
+
+    @staticmethod
+    def float_space(name, rng):
+        real, product, fixed = TestBatchEvaluator.FLOAT_SPACES[name]
+        if fixed == "real":
+            v = rng.normal(size=4)
+            fixed = TwoQubitState(tuple(v / np.linalg.norm(v)))
+        elif fixed == "singlet":
+            fixed = singlet()
+        return _SearchSpace(real, product, fixed_state=fixed)
+
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    @pytest.mark.parametrize("name", list(FLOAT_SPACES))
+    def test_equals_scalar_evaluator(self, name, objective):
+        cells, zeros, sign = self.OBJECTIVES[objective]
+        rng = np.random.default_rng([70, sorted(self.FLOAT_SPACES).index(name)])
+        space = self.float_space(name, rng)
+        evaluate = quantum._evaluator(space, cells, zeros, sign)
+        evaluate_many = quantum._batch_evaluator(space, cells, zeros, sign)
+        for size in (1, 3, 4, 5, 64):
+            xs = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (size, space.dims))
+            xs[0, : space.n_state] = 0.0  # exact zeros in the state and its derivatives
+            got = evaluate_many(xs)
+            assert len(got) == size
+            for x, ((value, grad), zs, zjac, resid) in zip(xs, got):
+                (ref_value, ref_grad), ref_zs, ref_zjac, ref_resid = evaluate(x.tobytes())
+                assert type(value) is float and same_bits(value, ref_value)
+                assert grad.shape == (space.dims,) and grad.flags.c_contiguous
+                assert same_bits(grad, ref_grad)
+                assert same_bits(zs, ref_zs)
+                shape = (len(zeros), space.dims)
+                assert same_bits(zjac.reshape(shape), ref_zjac.reshape(shape))
+                assert type(resid) is float and same_bits(resid, ref_resid)
+
+    def test_numpy_trig_rounds_as_math(self):
+        # the batch takes np.sin and np.cos where `_evaluator` takes
+        # math.sin and math.cos; its bit identity, and a descent's
+        # independence of the other starts, rest on their agreeing
+        rng = np.random.default_rng(71)
+        x = np.concatenate((
+            rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 100_000),
+            0.5 * rng.uniform(0.0, 2.0 * math.pi, 100_000),  # half angles of directions
+            rng.normal(scale=1e-3, size=1_000), [0.0, -0.0, math.pi, 0.5 * math.pi, 2.0 * math.pi],
+        ))
+        for name, fn in (("sin", math.sin), ("cos", math.cos)):
+            ours = getattr(np, name)(x).tolist()
+            bad = [(v, a, b) for v, a, b in zip(x.tolist(), ours, map(fn, x.tolist())) if a != b]
+            assert not bad, (
+                f"np.{name} differs from math.{name} on {len(bad)} of {len(x)} doubles "
+                f"(first: x={bad[0][0]!r}, numpy {bad[0][1]!r}, math {bad[0][2]!r}); "
+                "the batched search evaluator is then not bit-identical to `_evaluator`"
+            )
+
+    def test_complex_spaces_have_none(self):
+        state = TwoQubitState((0.5, 0.5j, -0.5, 0.5))
+        for space in (_SearchSpace(False, False), _SearchSpace(False, True),
+                      _SearchSpace(True, False, fixed_state=state),
+                      _SearchSpace(False, False, fixed_state=singlet())):
+            assert quantum._batch_evaluator(space, (13,), (4, 5, 9), -1.0) is None
 
 
 class TestHardySearch:
