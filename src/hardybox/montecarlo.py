@@ -395,9 +395,8 @@ def _each_piece(fn: Callable[[int], object], pieces: int, workers: int) -> list:
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
 
     def pin() -> None:
-        if cpus:
-            with contextlib.suppress(OSError):  # the mask changed meanwhile: run unpinned
-                os.sched_setaffinity(0, {cpus.pop()})
+        with contextlib.suppress(IndexError, OSError):  # no CPU left, or the mask changed: run unpinned
+            os.sched_setaffinity(0, {cpus.pop()})
 
     with ThreadPoolExecutor(workers, initializer=pin) as pool:
         return list(pool.map(fn, range(pieces)))

@@ -22,12 +22,10 @@ Both run `_extremize`: one SLSQP descent (Kraft, DFVLR-FB 88-28 (1988))
 with analytic gradients from each of a set of uniform random starts drawn by
 numpy's generator with a fixed seed, so results reproduce; the zeros are
 equality constraints on the cell amplitudes, smooth trig polynomials of the
-angles.  scipy supplies the solver: with scipy >= 1.16 its SLSQP kernel,
-`scipy.optimize._slsqplib.slsqp`, driven here directly, and with older
-scipy `scipy.optimize.minimize`, one start after another, which takes the
-same steps through its own Python layer.  It is imported on the first
-search, so importing the package, and every command that does not search,
-runs without scipy.
+angles.  scipy >= 1.16 supplies the solver: its SLSQP kernel,
+`scipy.optimize._slsqplib.slsqp`, driven here directly.  It is imported on
+the first search, so importing the package, and every command that does
+not search, runs without scipy.
 
 The kernel's descents run in lockstep, in groups of up to 64 starts
 (`_descend`): each round steps every live descent of a group to the next
@@ -415,20 +413,17 @@ class SearchDiagnostics:
     to_json_dict = record_to_json
 
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 @functools.cache
-def _slsqp_kernel() -> Callable | None:
-    """scipy's SLSQP kernel (scipy >= 1.16), or None where scipy lacks it."""
+def _slsqp_kernel() -> Callable:
+    """scipy's SLSQP kernel, imported on the first search.
+
+    Without scipy, or with a scipy older than 1.16, which lacks the kernel,
+    raises `ModuleNotFoundError` naming the missing module and the floor.
+    """
     try:
         from scipy.optimize._slsqplib import slsqp
-    except ImportError:  # also without scipy: `minimize` then names the missing module
-        return None
+    except ImportError as exc:  # also where the module lacks the name
+        raise ModuleNotFoundError(f"{exc} (the searches need scipy >= 1.16)", name=exc.name) from None
     return slsqp
 
 
@@ -467,9 +462,10 @@ def _evaluator(
     values, constraint Jacobian, residual)``: ``sign`` times the probability
     sum of ``objective_cells`` with its gradient, the zero amplitudes (real
     parts, then imaginary parts where they can be nonzero) with their
-    Jacobian rows, and the largest constrained probability.  One `_born_amps`
-    call per distinct point; SLSQP asks for the value, the gradient and the
-    constraints at the same point, and they are lookups.
+    Jacobian rows, and the largest constrained probability.  The last
+    point's result is cached, so a caller that reads the value, the gradient
+    and the constraints one at a time, as `scipy.optimize.minimize` does,
+    makes one `_born_amps` call per distinct point.
     """
     cells = (*objective_cells, *zero_cells)
     n_obj, twice = len(objective_cells), 2.0 * sign
@@ -691,21 +687,6 @@ def _lockstep(
     return ends, evaluations
 
 
-def _minimize_descent(evaluate: Callable, x0: np.ndarray) -> tuple[np.ndarray, bool, float, float]:
-    """One descent through `minimize`, where scipy lacks the kernel: as `_descend`."""
-    constraints = [{
-        "type": "eq",
-        "fun": lambda x: evaluate(x.tobytes())[1],
-        "jac": lambda x: evaluate(x.tobytes())[2],
-    }] if len(evaluate(x0.tobytes())[1]) else []
-    res = minimize(
-        lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
-        constraints=constraints, options={"maxiter": _MAXITER, "ftol": _FTOL},
-    )
-    (value, _), _, _, resid = evaluate(res.x.tobytes())
-    return res.x, bool(res.success), value, resid
-
-
 def _stationarity_residual(grad: np.ndarray, jac: np.ndarray) -> float:
     """max |grad - jac^T lambda| with lambda the least-squares multipliers."""
     jac = jac.reshape(-1, len(grad))  # a sigma search has no constraint rows
@@ -732,13 +713,8 @@ def _extremize(
     no descent qualifies.
     """
     evaluate = _evaluator(space, objective_cells, zero_cells, sign)
-    x0s = _starts(space, cfg.starts, cfg.seed)
-    if _slsqp_kernel() is None:
-        ends = [_minimize_descent(evaluate, x0) for x0 in x0s]
-        evaluations = evaluate.cache_info().misses
-    else:
-        evaluate_many = _batch_evaluator(space, objective_cells, zero_cells, sign)
-        ends, evaluations = _descend(evaluate, evaluate_many, x0s)
+    evaluate_many = _batch_evaluator(space, objective_cells, zero_cells, sign)
+    ends, evaluations = _descend(evaluate, evaluate_many, _starts(space, cfg.starts, cfg.seed))
     results = [(x, f, resid, ok and resid <= cfg.constraint_tol) for x, ok, f, resid in ends]
     feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
     if not feasible:

@@ -445,19 +445,22 @@ def test_python_dash_m_entry_point(module):
     assert json.loads(proc.stdout)["input"] == "pr"
 
 
-# Runs the command line with every scipy import refused.
-_WITHOUT_SCIPY = """
+# Runs the command line with the import of REFUSED and its submodules refused.
+_REFUSING = """
 import runpy, sys
 
-class NoScipy:
+class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if (name + ".").startswith(REFUSED + "."):
             raise ModuleNotFoundError("scipy import refused: " + name, name=name)
 
-sys.meta_path.insert(0, NoScipy())
+sys.meta_path.insert(0, Refuse())
 sys.argv[0] = "hardybox"
 runpy.run_module("hardybox", run_name="__main__")
 """
+_WITHOUT_SCIPY = 'REFUSED = "scipy"' + _REFUSING
+# scipy before 1.16, which has no SLSQP kernel module
+_WITHOUT_SLSQP_KERNEL = 'REFUSED = "scipy.optimize._slsqplib"' + _REFUSING
 
 
 def _python(*args):
@@ -496,6 +499,14 @@ class TestWithoutScipy:
         proc = _python("-c", _WITHOUT_SCIPY, *argv)
         assert proc.returncode == 1 and proc.stdout == ""
         assert "search failed: scipy import refused" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_search_names_the_scipy_it_needs(self):
+        # a scipy without the SLSQP kernel fails the search cleanly, naming the floor
+        proc = _python("-c", _WITHOUT_SLSQP_KERNEL, "quantum-max")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "search failed: scipy import refused: scipy.optimize._slsqplib" in proc.stderr
+        assert "(the searches need scipy >= 1.16)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_only_missing_scipy_is_reported(self, capsys, monkeypatch):

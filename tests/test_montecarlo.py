@@ -946,6 +946,35 @@ class TestThreads:
             simulate(mermin_box(), 10_000, 9, n_shards=8)
         assert threading.active_count() == threads
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_threads_past_the_last_cpu_run_unpinned(self, monkeypatch):
+        # one CPU for five threads, in a list that never tests empty, as it
+        # looks to two threads that both see the last CPU before either takes
+        # it: the first thread of each phase is pinned, the rest run unpinned
+        class NeverEmpty(list):
+            def __bool__(self):
+                return True
+
+        monkeypatch.setattr(montecarlo, "sorted", lambda cpus: NeverEmpty(sorted(cpus)[:1]), raising=False)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
+        pinned, started = [], []
+        setaffinity, thread = os.sched_setaffinity, threading.Thread
+
+        class CountedThread(thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def recording(pid, mask):
+            pinned.append(mask)
+            setaffinity(pid, mask)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        want = _reference_simulate(mermin_box(), 10**6, 9, "uniform", 8)
+        assert simulate(mermin_box(), 10**6, 9, n_shards=8) == want
+        assert len(started) > 2 and len(pinned) == 2  # one pinned thread in each of two phases
+
     def test_many_short_pieces_on_more_threads_than_cores(self, monkeypatch):
         # the pool's workers take pieces off one shared queue; a piece lost
         # or drawn twice would change the log

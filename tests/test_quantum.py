@@ -442,7 +442,7 @@ class TestOptimizerConfig:
             raise AssertionError("a start was drawn")
 
         monkeypatch.setattr(quantum, "_starts", no_draw)
-        monkeypatch.setattr(quantum, "minimize", no_draw)
+        monkeypatch.setattr(quantum, "_descend", no_draw)
         assert OptimizerConfig(starts=MAX_STARTS).starts == MAX_STARTS
         with pytest.raises(SchemaError, match="starts"):
             OptimizerConfig(starts=MAX_STARTS + 1)
@@ -492,47 +492,39 @@ class TestStartsAndDescents:
 
     @staticmethod
     def assert_one_descent_per_start(monkeypatch):
-        """Search with the descent path this scipy has, recording its calls:
-        one lockstep `_descend` call with the kernel, one `_minimize_descent`
-        call per start without; either way the starts are `_starts`'."""
+        """Search, recording the `_descend` calls: one lockstep call, which
+        ends one descent per start, from `_starts`' starts."""
         space = _SearchSpace(SMALL_CFG.real_mode, SMALL_CFG.product_mode)
         x0s = quantum._starts(space, SMALL_CFG.starts, SMALL_CFG.seed)
         calls = []
-        if quantum._slsqp_kernel() is not None:
-            descend = quantum._descend
+        descend = quantum._descend
 
-            def recording(evaluate, evaluate_many, starts):
-                ends, evaluations = descend(evaluate, evaluate_many, starts)
-                calls.append((np.array(starts), ends))
-                return ends, evaluations
+        def recording(evaluate, evaluate_many, starts):
+            ends, evaluations = descend(evaluate, evaluate_many, starts)
+            calls.append((np.array(starts), ends))
+            return ends, evaluations
 
-            monkeypatch.setattr(quantum, "_descend", recording)
-            opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
-            # one lockstep call, which ends one descent per start
-            ((starts, ends),) = calls
-            assert len(starts) == len(ends) == SMALL_CFG.starts == opt.diagnostics.starts_tried
-            assert np.array_equal(starts, x0s)
-        else:
-            descend = quantum._minimize_descent
-
-            def counting(evaluate, x0):
-                calls.append(np.array(x0))
-                return descend(evaluate, x0)
-
-            monkeypatch.setattr(quantum, "_minimize_descent", counting)
-            opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
-            assert len(calls) == SMALL_CFG.starts == opt.diagnostics.starts_tried
-            assert np.array_equal(np.array(calls), x0s)
+        monkeypatch.setattr(quantum, "_descend", recording)
+        opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
+        ((starts, ends),) = calls
+        assert len(starts) == len(ends) == SMALL_CFG.starts == opt.diagnostics.starts_tried
+        assert np.array_equal(starts, x0s)
 
     def test_one_descent_per_start(self, monkeypatch):
         pytest.importorskip("scipy.optimize")
         self.assert_one_descent_per_start(monkeypatch)
 
-    def test_one_descent_per_start_through_minimize(self, monkeypatch):
-        # the path of scipy < 1.16, checked on any scipy
-        pytest.importorskip("scipy.optimize")
-        monkeypatch.setattr(quantum, "_slsqp_kernel", lambda: None)
+    def test_search_never_calls_minimize(self, monkeypatch):
+        # every descent drives the SLSQP kernel itself, not minimize's Python layer
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize was called")
+
+        monkeypatch.setattr(optimize, "minimize", refused)
+        monkeypatch.setattr(optimize._minimize, "minimize", refused)
         self.assert_one_descent_per_start(monkeypatch)
+        assert maximize_sigma(2, SMALL_CFG).value > 3.4
 
     @staticmethod
     def descents_match_minimize(space, objective, zeros, x0s):
@@ -541,24 +533,14 @@ class TestStartsAndDescents:
         bytes, value, success and evaluation count, and return minimize's
         results."""
         pytest.importorskip("scipy.optimize._slsqplib")
-        scipy_minimize = pytest.importorskip("scipy.optimize").minimize
         direct = quantum._evaluator(space, objective, zeros, -1.0)
         batch = quantum._batch_evaluator(space, objective, zeros, -1.0)
         reference = quantum._evaluator(space, objective, zeros, -1.0)
-        constraints = [{
-            "type": "eq",
-            "fun": lambda x: reference(x.tobytes())[1],
-            "jac": lambda x: reference(x.tobytes())[2],
-        }] if zeros else []
         ends, evaluations = quantum._descend(direct, batch, np.asarray(x0s))
         assert len(ends) == len(x0s)
         results = []
         for x0, (x, success, value, _) in zip(x0s, ends):
-            res = scipy_minimize(
-                lambda x: reference(x.tobytes())[0], x0, jac=True, method="SLSQP",
-                constraints=constraints,
-                options={"maxiter": quantum._MAXITER, "ftol": quantum._FTOL},
-            )
+            res = _minimize(reference, x0)
             assert x.tobytes() == res.x.tobytes()
             assert value == res.fun == reference(res.x.tobytes())[0][0]
             assert success is bool(res.success)
@@ -585,7 +567,8 @@ class TestStartsAndDescents:
         assert res.status == 9 and res.nit == quantum._MAXITER
 
     def test_minimize_path_returns_the_same_searches(self, monkeypatch):
-        # without scipy's kernel (scipy < 1.16) descents go through minimize
+        # the searches with every descent run through minimize, one start at
+        # a time (`_minimize_descend`), return the same results and failure
         pytest.importorskip("scipy.optimize._slsqplib")
         q = quadruple_for(1, 13)
         complex_state = TwoQubitState((0.5, 0.5j, -0.5, 0.5))  # no real-mode zeros
@@ -598,7 +581,7 @@ class TestStartsAndDescents:
             return repr(hardy), repr(sigma), str(failed.value)
 
         direct = searches()
-        monkeypatch.setattr(quantum, "_slsqp_kernel", lambda: None)
+        monkeypatch.setattr(quantum, "_descend", _minimize_descend)
         assert searches() == direct
 
     def test_search_imports_no_scipy_stats(self):
@@ -622,24 +605,40 @@ class TestStartsAndDescents:
         assert proc.stdout.split() == ["[]", "True"]
 
 
-# The per-start descent loop that the lockstep `_descend` replaced, kept
-# verbatim as the reference it must equal bit for bit: one descent at a
-# time, one `_evaluator` call per point, through its one-point cache.
+def _minimize(evaluate, x0):
+    """One SLSQP descent from ``x0`` through `scipy.optimize.minimize`, which
+    reads ``evaluate`` (an `_evaluator`) through its one-point cache."""
+    from scipy.optimize import minimize
+
+    constraints = [{
+        "type": "eq",
+        "fun": lambda x: evaluate(x.tobytes())[1],
+        "jac": lambda x: evaluate(x.tobytes())[2],
+    }] if len(evaluate(x0.tobytes())[1]) else []
+    return minimize(
+        lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
+        constraints=constraints, options={"maxiter": quantum._MAXITER, "ftol": quantum._FTOL},
+    )
+
+
+def _minimize_descend(evaluate, evaluate_many, x0s):
+    """`_descend` through `_minimize`, one start after another, counting the
+    points evaluated as the cache's misses."""
+    ends = []
+    for x0 in x0s:
+        res = _minimize(evaluate, x0)
+        (value, _), _, _, resid = evaluate(res.x.tobytes())
+        ends.append((res.x, bool(res.success), value, resid))
+    return ends, evaluate.cache_info().misses
+
+
+# The per-start kernel loop that the lockstep `_descend` replaced, kept as
+# the reference it must equal bit for bit: one descent at a time, one
+# `_evaluator` call per point, through its one-point cache.
 def _reference_descend(evaluate, x0):
     slsqp = quantum._slsqp_kernel()
     (fx, g), zeros, jac, _ = evaluate(x0.tobytes())
     n, m = len(x0), len(zeros)
-    if slsqp is None:
-        constraints = [{
-            "type": "eq",
-            "fun": lambda x: evaluate(x.tobytes())[1],
-            "jac": lambda x: evaluate(x.tobytes())[2],
-        }] if m else []
-        res = quantum.minimize(
-            lambda x: evaluate(x.tobytes())[0], x0, jac=True, method="SLSQP",
-            constraints=constraints, options={"maxiter": quantum._MAXITER, "ftol": quantum._FTOL},
-        )
-        return res.x, bool(res.success)
     _FTOL, _MAXITER = quantum._FTOL, quantum._MAXITER
     state = {
         "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
