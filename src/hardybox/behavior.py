@@ -30,6 +30,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Literal, NamedTuple
 
@@ -255,6 +256,81 @@ def to_json(value: object) -> object:
     return value
 
 
+def json_text(value: object) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, built flat.
+
+    For every acyclic value that call accepts this returns the same string,
+    and for every value it refuses this raises the same exception type at
+    the same first offending item: `ValueError` for a NaN or infinite float,
+    `TypeError` for a value or key JSON has no form for (``np.bool_``,
+    ``np.int64``, a set).  Keys are converted as json converts them.  Any
+    indent turns json's C encoder off, and its pure-Python encoder nests a
+    generator per container; here each container is one `str.join` of its
+    items' texts, and a plain scalar's text is one lookup by exact type.
+    """
+    return _json_text(value, "\n")
+
+
+def _finite_repr(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
+#: the JSON text of a scalar of exactly these types; subclasses (an
+#: ``IntEnum``, ``np.float64``) take `_json_text`'s isinstance path, which
+#: writes them through their base type as json does
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _finite_repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_key(key: object) -> str:
+    if isinstance(key, str):
+        text = key
+    elif isinstance(key, float):
+        text = _finite_repr(key)
+    elif isinstance(key, bool) or key is None:
+        text = _SCALAR_TEXT[type(key)](key)
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _json_text(value: object, newline: str) -> str:
+    # ``newline`` is "\n" and the indentation of the line ``value`` starts on
+    text_of = _SCALAR_TEXT.get
+    text = text_of(value.__class__)
+    if text is not None:
+        return text(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [t(x) if (t := text_of(x.__class__)) else _json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            (encode_basestring_ascii(k) if k.__class__ is str else _json_key(k))
+            + ": "
+            + (t(x) if (t := text_of(x.__class__)) else _json_text(x, inner))
+            for k, x in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    for base in (str, int, float):  # a subclass; bool and None have none
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def record_to_json(record: object) -> dict:
     """A dataclass record as one key per field, in field order, each value `to_json`."""
     return {f.name: to_json(getattr(record, f.name)) for f in fields(record)}
@@ -330,6 +406,4 @@ def parse_json(data: bytes) -> object:
 
 
 def save_behavior(b: Behavior, path: str | Path, label: str | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(behavior_to_json_dict(b, label), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json_text(behavior_to_json_dict(b, label)) + "\n", encoding="utf-8")

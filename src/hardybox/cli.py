@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Machine-readable JSON goes to stdout, prose to stderr.  Exit codes: 0 on
-success, 1 when a strict check fails or a search does not converge (or
-scipy, which only the searches need, is missing), 2 on malformed input or
-arguments or a named file that cannot be opened, 141 (`EXIT_BROKEN_PIPE`)
-when the reader closes stdout before the output is written, as in
-``hardybox enumerate | head -1``.
+Machine-readable JSON goes to stdout, prose to stderr.  Each document is
+the bytes of ``json.dumps(doc, indent=2, allow_nan=False)`` and a newline,
+written by one writer, `hardybox.behavior.json_text`.  `main` builds its
+parser on the first call and reuses it for the rest of the process.
+
+Exit codes: 0 on success, 1 when a strict check fails or a search does not
+converge (or scipy, which only the searches need, is missing), 2 on
+malformed input or arguments or a named file that cannot be opened, 141
+(`EXIT_BROKEN_PIPE`) when the reader closes stdout before the output is
+written, as in ``hardybox enumerate | head -1``.
 
     hardybox check --box mermin
     hardybox check --input box.json --strict
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
+import functools
 import math
 import os
 import sys
@@ -38,6 +42,7 @@ from .behavior import (
     is_no_signaling,
     is_normalized,
     is_valid,
+    json_text,
     load_behavior,
     parse_json,
 )
@@ -73,7 +78,7 @@ EXIT_BROKEN_PIPE = 141
 
 def _emit(doc: object) -> None:
     # serialized whole before anything is written; NaN and infinity are errors
-    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(json_text(doc) + "\n")
     sys.stdout.flush()  # a closed pipe surfaces here, inside `main`
 
 
@@ -285,6 +290,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; ``command`` names the subcommand, whose ``cmd_*``
+    function `main` runs."""
     parser = argparse.ArgumentParser(
         prog="hardybox",
         description="Analyze two-party behavior boxes: structure, inequalities, "
@@ -306,11 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 unless valid, normalized and no-signaling",
     )
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="list the 64 cell-quadruple inequalities")
     p.add_argument("--family", type=int, choices=range(1, 9), help="restrict to one family")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("complete", help="fill a behavior from 8 free cells")
     p.add_argument(
@@ -324,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="8 comma-separated values, ascending cell order of the free set",
     )
-    p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("quantum-max", help="largest pj with the other three cells zero")
     p.add_argument("--quadruple", default="1:13", help="FAMILY:J, default 1:13")
@@ -334,13 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fix the state to the singlet (optimum collapses to zero)",
     )
-    p.set_defaults(func=cmd_quantum_max)
 
     p = sub.add_parser("tsirelson", help="extremal value of a probability sum")
     p.add_argument("--i", type=int, default=1, choices=(1, 2, 3, 4), help="which sum")
     p.add_argument("--minimize", action="store_true", help="minimize instead")
     p.add_argument("--config", help="optimizer config JSON file")
-    p.set_defaults(func=cmd_tsirelson)
 
     p = sub.add_parser("simulate", help="draw trials and run frequency tests")
     add_behavior_source(p)
@@ -356,11 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1, help="stream consumption split")
     p.add_argument("--quadruple", help="also test one inequality, FAMILY:J")
     p.add_argument("--out-csv", help="write the trial log here")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("examples", help="list named boxes or dump one")
     p.add_argument("--dump", choices=available_boxes(), help="print one box as JSON")
-    p.set_defaults(func=cmd_examples)
 
     return parser
 
@@ -381,11 +381,17 @@ def _attach_free_value(argv: list[str]) -> list[str]:
     return out
 
 
+#: the parser `main` builds on its first call and reuses; parsing keeps no
+#: state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_free_value(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_free_value(sys.argv[1:] if argv is None else argv))
+    # looked up now, not when the parser was built, so a replaced cmd_* runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except SchemaError as exc:
         _note(f"error in {exc.field_name}: {exc}")
         return 2

@@ -44,10 +44,11 @@ by ``\\r\\n`` (what `csv.writer` writes).  A trial has only 16 possible
 rows, 11 bytes each, so `TrialLog.to_csv` writes them from a 16-row byte
 table indexed by the trial's code.
 `TrialLog.from_csv` reads the file's bytes; when they are exactly the
-header and whole table rows it decodes them as an ``(n, 11)`` byte array.
-Any other file (``\\n`` line ends, unsigned or padded or quoted fields, a
-bad row or value) is parsed row by row with `csv.reader`, which is also
-where every error message about a file's content comes from.
+header and whole table rows it decodes them as an ``(n, 11)`` byte array,
+and likewise as ``(n, 10)`` when every line, the header's too, ends by
+``\\n`` instead.  Any other file (mixed line ends, unsigned or padded or
+quoted fields, a bad row or value) is parsed row by row with `csv.reader`,
+which is also where every error message about a file's content comes from.
 
 Estimation keeps per-block counts and reports Wilson-centered standard
 errors (never zero for a nonempty block, so degenerate frequencies at 0 or
@@ -87,7 +88,6 @@ from .behavior import (
 from .bell import HardyQuadruple
 
 _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
-_CSV_HEAD = ",".join(_CSV_HEADER).encode() + b"\r\n"
 
 #: substream holding the settings sequence; 0..3 are the setting blocks.
 SETTINGS_SUBSTREAM = 4
@@ -196,10 +196,19 @@ class TrialRecord(NamedTuple):
 
 #: the record of each trial code 4 * block + outcome pair
 _RECORDS = tuple(TrialRecord(*cell_of(c + 1)) for c in range(16))
-#: the 16 rows `csv.writer` makes of a trial, 11 bytes each, indexed by code
-_CSV_ROWS = np.array(
-    [f"{sa},{sb},{oa:+d},{ob:+d}\r\n".encode() for sa, sb, oa, ob in _RECORDS], dtype="S11"
-)
+
+
+def _csv_table(end: bytes) -> tuple[bytes, np.ndarray]:
+    """The header line and the 16 rows of a trial, indexed by code, each line
+    ended by ``end``."""
+    rows = [f"{sa},{sb},{oa:+d},{ob:+d}".encode() + end for sa, sb, oa, ob in _RECORDS]
+    return ",".join(_CSV_HEADER).encode() + end, np.array(rows, dtype=f"S{len(rows[0])}")
+
+
+#: what `csv.writer` makes of the header and of each trial, 11 bytes a row
+_CSV_HEAD, _CSV_ROWS = _csv_table(b"\r\n")
+#: the same lines ended by ``\n``, 10 bytes a row
+_LF_TABLE = _csv_table(b"\n")
 
 
 def _column(name: str, values, dtype: type) -> np.ndarray:
@@ -325,8 +334,9 @@ class TrialLog(Sequence[TrialRecord]):
     def from_csv(path: str | Path) -> "TrialLog":
         """Read a log written by `to_csv`, or any CSV file with its columns.
 
-        A file of exactly `to_csv`'s bytes is decoded as a table; any other
-        goes through `csv.reader`.  There a row without exactly four integer
+        A file of exactly `to_csv`'s bytes, or of those bytes with every
+        ``\\r\\n`` replaced by ``\\n``, is decoded as a table; any other goes
+        through `csv.reader`.  There a row without exactly four integer
         fields raises a ValueError with its 1-based line number; an
         out-of-range value one naming its column and row (row i is on line
         i + 2).
@@ -339,21 +349,24 @@ class TrialLog(Sequence[TrialRecord]):
 
 
 def _decode_table(data: bytes) -> TrialLog | None:
-    """The log of a file that is the header and rows of `_CSV_ROWS`, else None."""
-    width = _CSV_ROWS.itemsize
-    if (len(data) - len(_CSV_HEAD)) % width or not data.startswith(_CSV_HEAD):
+    """The log of a file that is the header and rows of `_CSV_ROWS`, or of
+    `_LF_TABLE`, else None."""
+    head, table = (_CSV_HEAD, _CSV_ROWS) if data.startswith(_CSV_HEAD) else _LF_TABLE
+    width = table.itemsize
+    if (len(data) - len(head)) % width or not data.startswith(head):
         return None
-    rows = np.frombuffer(data, dtype=np.uint8, offset=len(_CSV_HEAD)).reshape(-1, width)
+    rows = np.frombuffer(data, dtype=np.uint8, offset=len(head)).reshape(-1, width)
     code = np.empty(len(rows), dtype=np.uint8)
     for i in range(0, len(rows), _PIECE):
         r = rows[i : i + _PIECE]
         # one bit of each variable byte tells '2' from '1' (bit 1) or '-'
         # from '+' (bit 2); together they name the one table row r may be
+        # (the variable bytes sit at offsets 0, 2, 4 and 7 with either end)
         c = (r[:, 0] & 2) << 2
         c |= (r[:, 2] & 2) << 1
         c |= (r[:, 4] & 4) >> 1
         c |= (r[:, 7] & 4) >> 2
-        if not np.array_equal(_CSV_ROWS[c].view(np.uint8), r.ravel()):
+        if not np.array_equal(table[c].view(np.uint8), r.ravel()):
             return None
         code[i : i + len(r)] = c
     return TrialLog._of_codes(code)

@@ -5,20 +5,28 @@ dict literal written out in full.  Comparing the `json.dumps` text as well
 pins the key order at every level and tells ``1`` from ``1.0``.
 
 The files under ``tests/data/cli`` are the stdout of the commands in
-`GOLDEN`; regenerate one with, e.g.,
-``python -m hardybox enumerate > tests/data/cli/enumerate.json``.  Every
-number in them is a dyadic rational or a literal of `hardybox.boxes`, so no
-difference in summation order or libm rounding between platforms can change
-them.
+`GOLDEN` and `HELP`; regenerate one with, e.g.,
+``python -m hardybox enumerate > tests/data/cli/enumerate.json`` or
+``COLUMNS=80 python -m hardybox check --help > tests/data/cli/help_check.txt``.
+Every number in them is a dyadic rational or a literal of `hardybox.boxes`,
+so no difference in summation order or libm rounding between platforms can
+change them.
+
+`json_text` writes every document; `json.dumps(value, indent=2,
+allow_nan=False)` is its oracle here.
 """
 
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from hardybox.behavior import Party
+from hardybox import cli
+from hardybox.behavior import Party, json_text
 from hardybox.bell import ChReport, ChshReport, quadruple_for
 from hardybox.cli import main
 from hardybox.montecarlo import (
@@ -269,9 +277,134 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN)
-def test_golden_stdout(capsys, name):
-    code = main(GOLDEN[name])
+#: the stdout of ``hardybox [COMMAND] --help`` at 80 columns
+HELP = {"help.txt": ["--help"]} | {
+    f"help_{command.replace('-', '_')}.txt": [command, "--help"]
+    for command in (
+        "check", "enumerate", "complete", "quantum-max", "tsirelson", "simulate", "examples",
+    )
+}
+PINNED = {**GOLDEN, **HELP}
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's exits: 2 on a bad argument, 0 after --help
+        return exc.code
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_golden_stdout(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code = _exit_code(PINNED[name])
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
+
+def test_reused_parser_prints_every_pinned_stdout(capsys, monkeypatch, tmp_path):
+    # `main` keeps one parser for the process; a call that failed before it,
+    # or a different subcommand, must not change what the next call prints
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "refused.json"
+    config.write_text(json.dumps({"starts": 1, "constraint_tol": 1e-300}))
+    failing = [
+        (["check", "--box", "mermin", "--tol", "nan"], 2),  # argparse refuses the value
+        (["complete", "--variant", "s1", "--free", "0.5,0.5"], 2),  # SchemaError at free
+        (["quantum-max", "--quadruple", "1:13", "--config", str(config)], 1),  # no start qualifies
+    ]
+    parser = cli._parser()
+    for name in [*PINNED, *reversed(PINNED)]:
+        for argv, code in failing:
+            assert _exit_code(argv) == code, argv
+            assert capsys.readouterr().out == ""
+        assert _exit_code(PINNED[name]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes(), name
+    assert cli._parser() is parser
+
+
+_TEXT = st.text(st.characters(exclude_categories=()))  # control, non-ASCII, lone surrogates
+_KEYS = st.one_of(
+    _TEXT, st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none()
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 10**400) | st.integers(-(10**400), -(2**64)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    _TEXT,
+)
+#: what json.dumps refuses: NaN and infinities (ValueError), values and keys
+#: of no JSON type (TypeError)
+_REFUSED = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), np.bool_(True), np.int64(7), {1, 2}]
+)
+_REFUSED_KEYS = st.sampled_from([math.nan, math.inf, -math.inf, np.int64(7), (1, 2)])
+
+
+def _json_values(scalars, keys):
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=5).map(tuple),
+            st.dictionaries(keys, inner, max_size=5),
+        ),
+        max_leaves=30,
+    )
+
+
+def _written(write, value):
+    """The text ``write`` makes of ``value``, or the type and args of what it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+@given(_json_values(_SCALARS, _KEYS))
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == _dumps(value)
+
+
+@given(_json_values(_SCALARS | _REFUSED, _KEYS | _REFUSED_KEYS))
+@example({"a": [math.nan], (1, 2): 0})  # a value's ValueError before a later key's TypeError
+@example({np.int64(7): math.nan})  # a key's TypeError before its value's ValueError
+def test_json_text_refuses_as_json_dumps(value):
+    # the first offending item in document order decides the exception
+    assert _written(json_text, value) == _written(_dumps, value)
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        (-math.inf, ValueError),
+        (np.float64(-math.inf), ValueError),
+        (np.bool_(False), TypeError),
+        (np.int64(1), TypeError),
+        ({1.0}, TypeError),
+    ],
+)
+@pytest.mark.parametrize(
+    "place",
+    [lambda v: v, lambda v: [1.0, v], lambda v: {"a": ({"b": [v]},)}],
+    ids=["alone", "in-list", "nested"],
+)
+def test_json_text_refusals(value, error, place):
+    doc = place(value)
+    with pytest.raises(error) as want:
+        _dumps(doc)
+    with pytest.raises(error) as got:
+        json_text(doc)
+    assert got.value.args == want.value.args

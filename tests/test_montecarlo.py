@@ -681,14 +681,21 @@ class TestCsvTable:
             assert path.stat().st_size == 37 + 11 * n
             with _general_reads() as general:
                 back = TrialLog.from_csv(path)
+            lf = Path(tmp) / "trials_lf.csv"
+            lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+            with _general_reads() as general_lf:
+                back_lf = TrialLog.from_csv(lf)
         assert back == log
         assert [c.dtype for c in (back.settings_a, back.outcomes_b)] == [np.uint8, np.int8]
         assert general.call_count == 0  # a file `to_csv` wrote is decoded as a table
+        assert back_lf == log
+        assert general_lf.call_count == 0  # and so is the same file with \n line ends
 
     @pytest.mark.parametrize(
         "text",
         [
-            "settingA,settingB,outcomeA,outcomeB\n1,2,+1,-1\n2,1,-1,+1\n",
+            "settingA,settingB,outcomeA,outcomeB\r\n1,2,+1,-1\n2,1,-1,+1\n",
+            "settingA,settingB,outcomeA,outcomeB\n1,2,+1,-1\r\n2,1,-1,+1\n",
             "settingA,settingB,outcomeA,outcomeB\r\n1,2,1,-1\r\n2,1,-1,1\r\n",
             "settingA,settingB,outcomeA,outcomeB\r\n1, 2,+1 ,-1\r\n 2,1,-1,+1\r\n",
             'settingA,settingB,outcomeA,outcomeB\r\n"1",2,"+1",-1\r\n2,"1",-1,+1\r\n',
@@ -696,7 +703,7 @@ class TestCsvTable:
             "settingA,settingB,outcomeA,outcomeB\r\n1,2,+1,-1\r\n2,1,-1,+1",
             "settingA,settingB,outcomeA,outcomeB\r\n1,2,+1,-1\r\n2,1,-1,+01\r\n",
         ],
-        ids=["lf", "unsigned", "padded", "quoted", "quoted-header", "no-final-eol", "zero-pad"],
+        ids=["lf-rows", "mixed-eol", "unsigned", "padded", "quoted", "quoted-header", "no-final-eol", "zero-pad"],
     )
     def test_non_canonical_files_load_through_csv_reader(self, tmp_path, text):
         path = tmp_path / "trials.csv"
@@ -705,6 +712,28 @@ class TestCsvTable:
         with _general_reads() as general:
             assert TrialLog.from_csv(path) == want
         assert general.call_count == 1
+
+    def test_lf_file_decodes_as_table(self, tmp_path):
+        # a log of two pieces with \n line ends reads back through the byte
+        # table, in no more memory than the \r\n file `to_csv` wrote
+        n = 2**18 + 1
+        log = _log_with_codes(np.random.default_rng(5).integers(0, 16, size=n).astype(np.uint8))
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        log.to_csv(crlf)
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        assert lf.stat().st_size == 36 + 10 * n
+        peaks = []
+        for path in (crlf, lf):
+            tracemalloc.start()
+            try:
+                with _general_reads() as general:
+                    back = TrialLog.from_csv(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert back == log
+            assert general.call_count == 0
+        assert peaks[1] <= peaks[0], peaks
 
     def test_one_corrupted_byte_reads_as_before(self, tmp_path):
         # every single-byte substitution in a canonical file is read exactly
