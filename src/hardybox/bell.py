@@ -37,6 +37,11 @@ several reports of the same `Behavior` object in a row hits: ``check``
 benchmark's ``box-audit`` (87% hits).  A search or a simulation asks one
 report per box and always misses, for the cost of that identity test.
 
+`hardy_check` fills each of its 64 `InequalityCheck` records' ``__dict__``
+directly, as `copy` and `pickle` restore a frozen dataclass: the records
+equal the constructor's.  `ViolationReport.summary` counts the violations in
+one pass, for `to_json_dict` and ``check``'s note.
+
 Cell numbering follows `hardybox.behavior`.
 """
 
@@ -269,24 +274,33 @@ class ViolationReport:
         return tuple(c for c in self.checks if c.violated)
 
     def by_family(self) -> dict[int, int]:
-        counts = {f: 0 for f in range(1, 9)}
+        return dict(enumerate(self.summary()["violated_by_family"], start=1))
+
+    def summary(self) -> dict:
+        """The violation counts of `to_json_dict`, from one pass over the checks."""
+        lower, upper, by_family = 0, 0, [0] * 8
         for c in self.checks:
-            if c.violated:
-                counts[c.quadruple.family] += 1
-        return counts
+            lower += c.violated_lower
+            upper += c.violated_upper
+            by_family[c.quadruple.family - 1] += c.violated_lower or c.violated_upper
+        violated = sum(by_family)
+        return {
+            "violated_lower": lower,
+            "violated_upper": upper,
+            "violated": violated,
+            "satisfied": len(self.checks) - violated,
+            "violated_by_family": by_family,
+        }
 
     def to_json_dict(self) -> dict:
         return {
             "tol": self.tol,
             "inequalities": [c.to_json_dict() for c in self.checks],
-            "summary": {
-                "violated_lower": self.n_violated_lower,
-                "violated_upper": self.n_violated_upper,
-                "violated": self.n_violated,
-                "satisfied": self.n_satisfied,
-                "violated_by_family": list(self.by_family().values()),
-            },
+            "summary": self.summary(),
         }
+
+
+_new_check = object.__new__
 
 
 def hardy_check(b: Behavior, tol: float = DEFAULT_TOL) -> ViolationReport:
@@ -294,15 +308,27 @@ def hardy_check(b: Behavior, tol: float = DEFAULT_TOL) -> ViolationReport:
     checks = []
     for q, lower in zip(HARDY_QUADRUPLES, _values(b)[_HARDY_LOWER]):
         upper = 1.0 - lower
-        checks.append(InequalityCheck(q, lower, upper, lower < -tol, upper < -tol))
+        check = _new_check(InequalityCheck)
+        check.__dict__.update(
+            quadruple=q,
+            lower_slack=lower,
+            upper_slack=upper,
+            violated_lower=lower < -tol,
+            violated_upper=upper < -tol,
+        )
+        checks.append(check)
     return ViolationReport(tuple(checks), tol)
+
+
+#: (quadruple, j, k, l, m) with 0-based cell positions, for `hardy_witness`
+_WITNESS_CELLS = tuple((q, q.j - 1, q.k - 1, q.l - 1, q.m - 1) for q in HARDY_QUADRUPLES)
 
 
 def hardy_witness(b: Behavior, eps: float = 1e-6) -> tuple[HardyQuadruple, ...]:
     """Quadruples realizing the Hardy pattern: pk, pl, pm <= eps while pj > eps."""
-    p = (None, *b.probs)  # 1-based, like the quadruple indices
+    above = [x > eps for x in b.probs]
     return tuple(
-        q for q in HARDY_QUADRUPLES if max(p[q.k], p[q.l], p[q.m]) <= eps and p[q.j] > eps
+        q for q, j, k, l, m in _WITNESS_CELLS if above[j] and not (above[k] or above[l] or above[m])
     )
 
 

@@ -146,8 +146,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc["correlations"] = list(correlation_vector(b).as_tuple())
     doc["ch_four_term"] = list(ch_values(b).b)
     doc["ch_full"] = list(ch_values_full(b).b)
-    rep = hardy_check(b, tol)
-    doc["hardy"] = rep.to_json_dict()
+    doc["hardy"] = hardy_check(b, tol).to_json_dict()
     doc["audit"] = equivalence_audit(b, tol).to_json_dict()
     if normalized and no_signaling:
         witnesses = []
@@ -168,7 +167,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _emit(doc)
     _note(
         f"{label}: valid={valid} normalized={normalized} no_signaling={no_signaling} "
-        f"hardy_violations={rep.n_violated}"
+        f"hardy_violations={doc['hardy']['summary']['violated']}"
     )
     if args.strict and not (valid and normalized and no_signaling):
         _note("strict mode: structural checks failed")

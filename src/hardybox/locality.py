@@ -20,8 +20,10 @@ affine table, cells = const + free @ m; the import fails unless every solved
 cell comes out as (1 + sum of +-1 times the free cells) / 2.  The sign view
 (`completion_signs`, `FreeSetId.solved_cells`, `complete_from_free_set`) is
 read from those tables once, at import.  Each completion composed with its
-inverse is one more table, cells = const + p @ m over all sixteen cells, so
-`completion_roundtrip` is one residual product and one table product.
+inverse is one more table, cells = const + p @ m over all sixteen cells; the
+eight stand side by side in one (16, 128) table.  `completion_roundtrip`
+keeps the residual and that one product for the last ``Behavior.probs``
+tuple, so a box's eight round trips share them, bit for bit the same.
 """
 
 from __future__ import annotations
@@ -185,6 +187,13 @@ def _compose_roundtrip(variant: FreeSetId) -> tuple[np.ndarray, np.ndarray]:
 _ROUNDTRIPS: dict[FreeSetId, tuple[np.ndarray, np.ndarray]] = {
     v: _compose_roundtrip(v) for v in FreeSetId
 }
+#: The eight round-trip tables side by side, (128,) and (16, 128); round
+#: trip v owns the 16 columns from ``_ROUNDTRIP_AT[v]``.
+_ROUNDTRIP_CONST = np.concatenate([const for const, _ in _ROUNDTRIPS.values()])
+_ROUNDTRIP_TABLE = np.hstack([m for _, m in _ROUNDTRIPS.values()])
+_ROUNDTRIP_AT = {v: 16 * n for n, v in enumerate(_ROUNDTRIPS)}
+#: (cells, max residual, eight round trips) of the last miss, set in one assignment
+_LAST_ROUNDTRIP: tuple[tuple[float, ...], float, list[float]] = ((), 0.0, [])
 
 
 def completion_signs(variant: FreeSetId) -> dict[int, tuple[int, ...]]:
@@ -224,15 +233,21 @@ def completion_roundtrip(b: Behavior, variant: FreeSetId, tol: float = DEFAULT_T
 
     For a behavior satisfying the constraints this is the identity (up to
     rounding).  Raises ValueError reporting the worst residual when the input
-    violates the constraint system beyond ``tol``.
+    violates the constraint system beyond ``tol``.  The residual and all
+    eight round trips are kept for the last ``b.probs`` tuple.
     """
-    residual = constraint_residuals(b).max_abs()
+    global _LAST_ROUNDTRIP
+    probs, residual, cells = _LAST_ROUNDTRIP
+    if b.probs is not probs:
+        residual = constraint_residuals(b).max_abs()
+        cells = (_ROUNDTRIP_CONST + np.asarray(b.probs) @ _ROUNDTRIP_TABLE).tolist()
+        _LAST_ROUNDTRIP = (b.probs, residual, cells)
     if residual > tol:
         raise ValueError(
             f"behavior violates the constraint system (max residual {residual:.3e} > {tol:.1e})"
         )
-    const, m = _ROUNDTRIPS[variant]
-    return Behavior((const + np.asarray(b.probs) @ m).tolist())
+    at = _ROUNDTRIP_AT[variant]
+    return Behavior(cells[at : at + 16])
 
 
 class _QuadrupleLike(Protocol):

@@ -6,11 +6,13 @@ reproduce it exactly.  Group g collects the 16 rows whose probability sum
 has index g (two families per group, unprimed then primed).
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardybox import bell
@@ -85,6 +87,13 @@ def normalized_strategy():
         lambda blocks: Behavior(
             tuple(c / sum(cells) for cells in blocks for c in cells)
         )
+    )
+
+
+def any_box_strategy():
+    cells = st.floats(min_value=-1.0, max_value=2.0, allow_nan=False)
+    return st.one_of(
+        normalized_strategy(), st.lists(cells, min_size=16, max_size=16).map(Behavior)
     )
 
 
@@ -294,6 +303,40 @@ class TestHardyCheck:
         with pytest.raises(dataclasses.FrozenInstanceError):
             first.lower_slack = 0.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        any_box_strategy(),
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, -1e-9, np.nextafter(-1e-9, 0.0), 1.0, 1.0 + 1e-9]),
+                st.floats(min_value=-2.0, max_value=3.0, allow_nan=False),
+            ),
+            min_size=64,
+            max_size=64,
+        ),
+        st.sampled_from([1e-9, 0.0, 0.3]),
+    )
+    @example(uniform_behavior(), [-0.0] * 64, 0.0)
+    def test_checks_equal_constructed_ones(self, b, slacks, tol):
+        # checks of ``b``'s own product, then of 64 planted lower slacks
+        # (-0.0 among them) read back from the cache as if ``b``'s product
+        reports = [hardy_check(b, tol)]
+        values = list(bell._values(b))
+        values[bell._HARDY_LOWER] = slacks
+        bell._LAST = (b.probs, tuple(values))
+        reports.append(hardy_check(b, tol))
+        assert [c.lower_slack for c in reports[1].checks] == slacks
+        assert [c.upper_slack for c in reports[1].checks] == [1.0 - x for x in slacks]
+        for c in reports[0].checks + reports[1].checks:
+            want = bell.InequalityCheck(
+                c.quadruple, c.lower_slack, c.upper_slack, c.lower_slack < -tol, c.upper_slack < -tol
+            )
+            assert list(vars(c).items()) == list(vars(want).items())
+            assert c == want and hash(c) == hash(want) and repr(c) == repr(want)
+            for again in (pickle.loads(pickle.dumps(c)), copy.copy(c)):
+                assert type(again) is bell.InequalityCheck
+                assert again == c and hash(again) == hash(c) and repr(again) == repr(c)
+
     @settings(max_examples=60, deadline=None)
     @given(normalized_strategy())
     def test_slack_sum_property(self, b):
@@ -322,6 +365,30 @@ class TestThreeZeroWitness:
             assert shift.residual <= 1e-12
             rep = hardy_check(box)
             assert rep.n_violated == 16
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1e-6, np.nextafter(1e-6, 1.0), 0.09, 0.5, 1.0]),
+                st.floats(min_value=-1.0, max_value=2.0, allow_nan=False),
+            ),
+            min_size=16,
+            max_size=16,
+        ),
+        st.one_of(
+            st.sampled_from([1e-6, 0.0, -0.0, 0.5, float("inf")]),
+            st.floats(min_value=-1.0, max_value=2.0, allow_nan=False),
+        ),
+    )
+    def test_equals_the_max_loop(self, cells, eps):
+        # the loop `hardy_witness` had before its index tuples, kept verbatim
+        b = Behavior(cells)
+        p = (None, *b.probs)  # 1-based, like the quadruple indices
+        want = tuple(
+            q for q in HARDY_QUADRUPLES if max(p[q.k], p[q.l], p[q.m]) <= eps and p[q.j] > eps
+        )
+        assert hardy_witness(b, eps) == want
 
     def test_no_witness_on_uniform(self):
         assert hardy_witness(uniform_behavior()) == ()
@@ -417,13 +484,6 @@ class TestEquivalenceAudit:
 def _fresh_values(b: Behavior) -> tuple[float, ...]:
     """The coefficient rows on ``b`` from a product of its own, past any cache."""
     return tuple((bell._ROWS @ np.asarray(b.probs)).tolist())
-
-
-def any_box_strategy():
-    cells = st.floats(min_value=-1.0, max_value=2.0, allow_nan=False)
-    return st.one_of(
-        normalized_strategy(), st.lists(cells, min_size=16, max_size=16).map(Behavior)
-    )
 
 
 _REPORTS = (sigma_values, delta_values, ch_values, ch_values_full, hardy_check, equivalence_audit)

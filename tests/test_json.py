@@ -274,6 +274,9 @@ GOLDEN = {
     ],
     "check_pr.json": ["check", "--box", "pr"],
     "check_kwiat_hardy.json": ["check", "--box", "kwiat_hardy"],
+    "check_mermin.json": ["check", "--box", "mermin"],
+    "check_hardy_pattern_a.json": ["check", "--box", "hardy_pattern_a"],
+    "check_hardy_pattern_b.json": ["check", "--box", "hardy_pattern_b"],
 }
 
 

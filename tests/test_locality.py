@@ -6,6 +6,8 @@ over rationals, so no value here depends on the implementation's own
 linear algebra.
 """
 
+import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from hardybox.behavior import Behavior, is_no_signaling, is_normalized, is_valid
 from hardybox.boxes import kwiat_hardy_box, mermin_box, pr_box
+from hardybox import locality
 from hardybox.locality import (
     _COMPLETIONS,
     _ROUNDTRIPS,
@@ -264,6 +267,90 @@ class TestCompletion:
             got_const, got_m = _ROUNDTRIPS[v]
             assert (exact(got_const) == const_inv + const[back] @ m_inv).all()
             assert (exact(got_m) == first[:, back] @ m_inv).all()
+
+
+def per_variant_roundtrip(b: Behavior, v: FreeSetId) -> tuple[float, ...]:
+    """One round trip as its own table product, past the cache."""
+    const, m = _ROUNDTRIPS[v]
+    return tuple((const + np.asarray(b.probs) @ m).tolist())
+
+
+#: a normalized box that signals by 1e-7: outside tol 1e-9, inside 1e-6
+SLIGHTLY_SIGNALING = (0.25,) * 15 + (0.2500001,)
+
+
+class TestRoundtripCache:
+    """`completion_roundtrip` keeps one product of the eight stacked tables."""
+
+    def test_hit_and_miss_give_the_same_bits(self):
+        b = random_no_signaling_behavior(np.random.default_rng(41))
+        twin = Behavior(list(b.probs))
+        assert twin.probs == b.probs and twin.probs is not b.probs
+        for v in ALL_VARIANTS:
+            want = per_variant_roundtrip(b, v)
+            completion_roundtrip(pr_box(), v)
+            miss = completion_roundtrip(b, v).probs
+            hit = completion_roundtrip(b, v).probs
+            assert locality._LAST_ROUNDTRIP[0] is b.probs
+            other = completion_roundtrip(twin, v).probs  # equal cells, distinct tuple
+            assert locality._LAST_ROUNDTRIP[0] is twin.probs
+            assert miss == hit == other == want
+
+    def test_alternating_boxes(self):
+        rng = np.random.default_rng(43)
+        a, b = random_no_signaling_behavior(rng), random_no_signaling_behavior(rng, FreeSetId.S3P)
+        want = {id(box): {v: per_variant_roundtrip(box, v) for v in ALL_VARIANTS} for box in (a, b)}
+        for _ in range(3):
+            for v in ALL_VARIANTS:
+                for box in (a, b, b, a):
+                    assert completion_roundtrip(box, v).probs == want[id(box)][v]
+
+    @pytest.mark.parametrize("order", [(1e-9, 1e-6, 1e-9), (1e-6, 1e-9, 1e-6)])
+    def test_tolerance_is_read_per_call(self, order):
+        # the first call of each order is the miss; the cached residual is
+        # compared with each later call's own tol
+        b = Behavior(SLIGHTLY_SIGNALING)
+        message = "behavior violates the constraint system (max residual 1.000e-07 > 1.0e-09)"
+        for tol in order:
+            for v in ALL_VARIANTS:
+                if tol == 1e-9:
+                    with pytest.raises(ValueError) as error:
+                        completion_roundtrip(b, v, tol)
+                    assert str(error.value) == message
+                else:
+                    assert completion_roundtrip(b, v, tol).probs == per_variant_roundtrip(b, v)
+
+    def test_threads_read_their_own_box(self):
+        rng = np.random.default_rng(47)
+        boxes = [random_no_signaling_behavior(rng, v) for v in ALL_VARIANTS[:4]]
+        want = [{v: per_variant_roundtrip(box, v) for v in ALL_VARIANTS} for box in boxes]
+        wrong = []
+
+        def worker(n):
+            for i in range(500):
+                k = (n + i) % len(boxes)
+                v = ALL_VARIANTS[i % 8]
+                if completion_roundtrip(boxes[k], v).probs != want[k][v]:
+                    wrong.append((n, i))
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert wrong == []
+
+    def test_stacked_product_equals_each_variant_product(self):
+        # the stacked (16, 128) product against the eight (16, 16) ones on
+        # this machine's BLAS: 2,000 no-signaling boxes at the default tol and
+        # 8,000 arbitrary ones with no tolerance, compared bit for bit
+        rng = np.random.default_rng(53)
+        cases = [(random_no_signaling_behavior(rng, ALL_VARIANTS[i % 8]), 1e-9) for i in range(2000)]
+        cases += [(Behavior(rng.uniform(-1.0, 2.0, 16)), math.inf) for _ in range(8000)]
+        for b, tol in cases:
+            for v in ALL_VARIANTS:
+                got = completion_roundtrip(b, v, tol).probs
+                assert np.array_equal(got, per_variant_roundtrip(b, v)), (b.probs, v)
 
 
 @settings(max_examples=120, deadline=None)
