@@ -27,8 +27,8 @@ negated lower slack of one Hardy quadruple (`_CH_FOUR_TERM_QUADRUPLES`); and
 the 64 Hardy lower slacks pk + pl + pm - pj, each upper slack being 1 minus
 its lower one.
 
-That product is cached for one point, as the quantum search caches its
-evaluations: the last ``Behavior.probs`` tuple and its 96 values.  The
+That product is cached for one point: the last ``Behavior.probs`` tuple
+and its 96 values.  The
 reports on one `Behavior`, such as those ``check`` prints, then share one
 product, and a hit costs an identity test on the immutable tuple.  Hit or
 miss, the numbers are those of the product.  Only a caller that asks

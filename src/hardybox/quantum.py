@@ -29,11 +29,11 @@ not search, runs without scipy.
 
 The kernel's descents run in lockstep, in groups of up to 64 starts
 (`_descend`): each round steps every live descent of a group to the next
-point it asks for, and the round's new points are evaluated together.
-Where the amplitudes are floats (below) that is one numpy pass over all of
-them (`_batch_evaluator`), elementwise with the same float operations in
-the same order, so each point gets the same bits as alone; complex
-amplitudes, and rounds of a few points, go point by point.
+point it asks for, and one evaluator, `_evaluator`, takes the round's new
+points together.  Float amplitudes (below) in rounds of 4 points or more
+(`_BATCH_MIN`) go through one numpy pass over all of them, elementwise with
+the same float operations in the same order, so each point gets the same
+bits as alone; complex amplitudes, and smaller rounds, go point by point.
 
 In real mode (the default) every search point is one pass in float
 arithmetic: the state, the eigenvectors and hence the amplitudes are real
@@ -453,26 +453,49 @@ def _numpy_sum(terms: list[float]) -> float:
     return total
 
 
+# Rounds of float amplitudes with fewer points than this go one point at a
+# time: a batched pass cost about 60 us at 1 point, 70 us at 4, 85 us at 16
+# and 140 us at 64, a point alone about 18 us, so they break even at about 4
+# (Hardy objective, 2-core x86-64 host, Python 3.11.7, numpy 2.4.6)
+_BATCH_MIN = 4
+
+
 def _evaluator(
     space: _SearchSpace, objective_cells: Sequence[int], zero_cells: Sequence[int], sign: float
-) -> Callable[[bytes], tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]]:
-    """Everything a descent reads at one point, cached for the last point.
+) -> Callable[[np.ndarray], list[tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]]]:
+    """Everything a descent reads, at each row of ``xs``: ``evaluate(xs)``.
 
-    ``evaluate(x.tobytes())`` returns ``((value, gradient), constraint
-    values, constraint Jacobian, residual)``: ``sign`` times the probability
-    sum of ``objective_cells`` with its gradient, the zero amplitudes (real
-    parts, then imaginary parts where they can be nonzero) with their
-    Jacobian rows, and the largest constrained probability.  The last
-    point's result is cached, so a caller that reads the value, the gradient
-    and the constraints one at a time, as `scipy.optimize.minimize` does,
-    makes one `_born_amps` call per distinct point.
+    Per row it returns ``((value, gradient), constraint values, constraint
+    Jacobian, residual)``: ``sign`` times the probability sum of
+    ``objective_cells`` with its gradient, the zero amplitudes (real parts,
+    then imaginary parts where they can be nonzero) with their Jacobian
+    rows, and the largest constrained probability.
+
+    Complex amplitudes, and float rounds of fewer than `_BATCH_MIN` points,
+    go point by point.  Larger float rounds take one numpy pass of
+    `_born_amps`' float expressions, elementwise in the same order, one row
+    per cell and one column per point: each cell gathers its eigenvector
+    components by index from one table, elementwise float64 ``+`` and ``*``
+    round as Python floats do, and the sums over cells run as a point's do
+    (`_numpy_sum` for the value, one row at a time from 0.0 for the
+    gradient).  So each row equals its point alone bit for bit, provided
+    numpy's float64 ``np.sin`` and ``np.cos`` round as ``math``'s (a test
+    checks a fixed sample); otherwise a descent's steps would depend on how
+    many points share its rounds.
     """
     cells = (*objective_cells, *zero_cells)
-    n_obj, twice = len(objective_cells), 2.0 * sign
+    n_obj, twice, n_psi = len(objective_cells), 2.0 * sign, space.n_state
+    j, k, m, n = np.array([_CELL_COORDS[c] for c in cells]).T
+    # rows of the eigenvector table: 4 * (outcome slot + component) + direction,
+    # with slots 0 for e_{+1} and 2 for e_{-1}
+    e_a, e_b = 4 * (1 - m) + j - 1, 4 * (1 - n) + 1 + k
+    flip_a, flip_b = 4 * (1 + m) + j - 1, 4 * (1 + n) + 1 + k
+    gather = np.array([e_a, e_a + 4, e_b, e_b + 4, flip_a, flip_a + 4, flip_b, flip_b + 4])
+    rows, col_a, col_b = np.arange(len(cells)), n_psi + j - 1, n_psi + 1 + k
+    half_m, half_n = (-0.5 * m)[:, None], (-0.5 * n)[:, None]
 
-    @functools.lru_cache(maxsize=1)
-    def evaluate(key: bytes) -> tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]:
-        amps, jac = space.amplitudes(np.frombuffer(key), cells)
+    def point(x: np.ndarray) -> tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]:
+        amps, jac = space.amplitudes(x, cells)
         if space.complex_amps:
             # numpy's complex product and modulus, which Python's complex
             # arithmetic rounds differently: numpy fuses multiply-adds and
@@ -495,41 +518,9 @@ def _evaluator(
             resid = max([z * z for z in amps[n_obj:]], default=0.0)
         return (sign * value, twice * grad), zeros, zeros_jac, resid
 
-    return evaluate
-
-
-def _batch_evaluator(
-    space: _SearchSpace, objective_cells: Sequence[int], zero_cells: Sequence[int], sign: float
-) -> Callable[[np.ndarray], list[tuple[tuple[float, np.ndarray], np.ndarray, np.ndarray, float]]] | None:
-    """`_evaluator` for many points in one numpy pass; None where amplitudes are complex.
-
-    ``evaluate_many(xs)`` returns one `_evaluator` result per row of ``xs``,
-    equal to it bit for bit.  Every amplitude and derivative is an array over
-    the points, one row per cell, computed by `_born_amps`' float expressions
-    elementwise in the same order: each cell gathers its eigenvector
-    components by index from one table of them, and elementwise float64
-    ``+`` and ``*`` round as Python floats do.  The sums over cells run as
-    `_evaluator` runs them, `_numpy_sum` for the value and one row at a time
-    from 0.0 for the gradient.  The trig comes from ``np.sin`` and
-    ``np.cos`` where `_evaluator` takes ``math.sin`` and ``math.cos``, so
-    the bits agree only where numpy's float64 sin and cos round as the C
-    library's do (a test checks that on a fixed sample); where they do not,
-    a descent's steps would depend on how many points share its rounds.
-    """
-    if space.complex_amps:
-        return None
-    cells = (*objective_cells, *zero_cells)
-    n_obj, twice, n_psi = len(objective_cells), 2.0 * sign, space.n_state
-    j, k, m, n = np.array([_CELL_COORDS[c] for c in cells]).T
-    # rows of the eigenvector table: 4 * (outcome slot + component) + direction,
-    # with slots 0 for e_{+1} and 2 for e_{-1}
-    e_a, e_b = 4 * (1 - m) + j - 1, 4 * (1 - n) + 1 + k
-    flip_a, flip_b = 4 * (1 + m) + j - 1, 4 * (1 + n) + 1 + k
-    gather = np.array([e_a, e_a + 4, e_b, e_b + 4, flip_a, flip_a + 4, flip_b, flip_b + 4])
-    rows, col_a, col_b = np.arange(len(cells)), n_psi + j - 1, n_psi + 1 + k
-    half_m, half_n = (-0.5 * m)[:, None], (-0.5 * n)[:, None]
-
-    def evaluate_many(xs: np.ndarray) -> list:
+    def evaluate(xs: np.ndarray) -> list:
+        if space.complex_amps or len(xs) < _BATCH_MIN:
+            return [point(x) for x in xs]
         x = xs.T  # one row per search angle
         psi, dpsi = space.state_of(x, np)
         # `_eigenstates` at phi = -0.0: (cos, 1.0 * sin) and (sin, -1.0 * cos)
@@ -558,21 +549,7 @@ def _batch_evaluator(
         resids = [max(r, default=0.0) for r in (z * z).T.tolist()]
         return list(zip(zip(values, grads), z.T, jac[n_obj:].transpose(2, 0, 1), resids))
 
-    return evaluate_many
-
-
-# Rounds with fewer new points than this go one point at a time through
-# `_evaluator`: a batched pass cost about 60 us at 1 point, 70 us at 4, 85 us
-# at 16 and 140 us at 64, a scalar point about 18 us, so they break even at
-# about 4 (Hardy objective, 2-core x86-64 host, Python 3.11.7, numpy 2.4.6)
-_BATCH_MIN = 4
-
-
-def _evaluate_points(evaluate: Callable, evaluate_many: Callable | None, xs: Sequence[np.ndarray]) -> list:
-    """`_evaluator` results at ``xs``: batched, or point by point for few points."""
-    if evaluate_many is None or len(xs) < _BATCH_MIN:
-        return [evaluate(x.tobytes()) for x in xs]
-    return evaluate_many(np.array(xs))
+    return evaluate
 
 
 class _Descent:
@@ -631,16 +608,14 @@ class _Descent:
 _LOCKSTEP_STARTS = 64
 
 
-def _descend(
-    evaluate: Callable, evaluate_many: Callable | None, x0s: np.ndarray
-) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
+def _descend(evaluate: Callable, x0s: np.ndarray) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
     """One SLSQP descent from each row of ``x0s``, in lockstep groups.
 
     Returns each descent's end point, whether SLSQP succeeded, and the
     value and largest constrained probability there; and the number of
     points evaluated.
-    ``evaluate`` is an `_evaluator`, ``evaluate_many`` its `_batch_evaluator`
-    or None; the zero amplitudes are the equality constraints.
+    ``evaluate`` is an `_evaluator`; the zero amplitudes are the equality
+    constraints.
 
     scipy's SLSQP kernel talks by reverse communication: each call returns
     with ``mode`` 1 to ask for the value and constraints at ``x``, -1 for
@@ -651,32 +626,28 @@ def _descend(
     groups of `_LOCKSTEP_STARTS`, one after another.  Each round of a group
     calls the kernel of every live descent until it asks for a point other
     than the one it holds, or stops; then all new points of the round,
-    including end points not yet evaluated, are evaluated together
-    (`_evaluate_points`), and the descents that stopped drop out.  A point's
-    evaluation does not depend on the others of its round, so neither does
-    any descent.
+    including end points not yet evaluated, go to ``evaluate`` together,
+    and the descents that stopped drop out.  A point's evaluation does not
+    depend on the others of its round, so neither does any descent.
     """
     ends: list = []
     evaluations = 0
     for lo in range(0, len(x0s), _LOCKSTEP_STARTS):
-        group_ends, group_evaluations = _lockstep(evaluate, evaluate_many, x0s[lo : lo + _LOCKSTEP_STARTS])
+        group_ends, group_evaluations = _lockstep(evaluate, x0s[lo : lo + _LOCKSTEP_STARTS])
         ends += group_ends
         evaluations += group_evaluations
     return ends, evaluations
 
 
-def _lockstep(
-    evaluate: Callable, evaluate_many: Callable | None, x0s: np.ndarray
-) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
+def _lockstep(evaluate: Callable, x0s: np.ndarray) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
     """`_descend` for one group of starts, all live at once."""
     slsqp = _slsqp_kernel()
-    points = _evaluate_points(evaluate, evaluate_many, list(x0s))
-    live = {i: _Descent(x0, point, len(point[1])) for i, (x0, point) in enumerate(zip(x0s, points))}
+    live = {i: _Descent(x0, point, len(point[1])) for i, (x0, point) in enumerate(zip(x0s, evaluate(x0s)))}
     ends: list = [None] * len(live)
     evaluations = len(live)
     while live:
         asked = [ds for ds in live.values() if ds.step(slsqp)]
-        for ds, point in zip(asked, _evaluate_points(evaluate, evaluate_many, [ds.x for ds in asked])):
+        for ds, point in zip(asked, evaluate(np.array([ds.x for ds in asked]))):
             ds.take(point)
         evaluations += len(asked)
         for i, ds in list(live.items()):
@@ -713,8 +684,7 @@ def _extremize(
     no descent qualifies.
     """
     evaluate = _evaluator(space, objective_cells, zero_cells, sign)
-    evaluate_many = _batch_evaluator(space, objective_cells, zero_cells, sign)
-    ends, evaluations = _descend(evaluate, evaluate_many, _starts(space, cfg.starts, cfg.seed))
+    ends, evaluations = _descend(evaluate, _starts(space, cfg.starts, cfg.seed))
     results = [(x, f, resid, ok and resid <= cfg.constraint_tol) for x, ok, f, resid in ends]
     feasible = [(f, i) for i, (_, f, _, ok) in enumerate(results) if ok]
     if not feasible:
@@ -730,7 +700,7 @@ def _extremize(
         )
     _, winner = min(feasible)
     x, _, resid, _ = results[winner]
-    (_, grad), _, jac, _ = evaluate(x.tobytes())
+    (_, grad), _, jac, _ = evaluate(x[None])[0]
     state, settings = space.unpack(x)
     return state, settings, born_behavior(state, settings), SearchDiagnostics(
         starts_tried=cfg.starts,

@@ -6,6 +6,7 @@ sharing no code with the implementation's eigenbasis path.
 """
 
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -366,20 +367,19 @@ class TestFloatPass:
         rng = np.random.default_rng(60 + sorted(PARAMETRIZATIONS).index(name))
         space = make_space(name, rng)
         evaluate = quantum._evaluator(space, objective, zero, sign)
-        for i in range(40):
-            x = rng.uniform(0.0, 2.0 * math.pi, space.dims)
-            (value, grad), cons, cons_jac, resid = evaluate(x.tobytes())
+        xs = rng.uniform(0.0, 2.0 * math.pi, (40, space.dims))
+        together = evaluate(xs)  # float amplitudes: one batched pass
+        assert len(together) == len(xs)
+        for x, row in zip(xs, together):
             (ref_value, ref_grad), ref_cons, ref_jac, ref_resid = reference_evaluation(
                 space, objective, zero, sign, x
             )
-            assert type(value) is float and value == ref_value
-            assert same_bits(value, ref_value) and same_bits(grad, ref_grad)
-            assert same_bits(resid, ref_resid)
-            if zero:
-                assert same_bits(cons, ref_cons) and same_bits(cons_jac, ref_jac)
-            # one kernel pass per distinct point
-            assert evaluate(x.tobytes())[0] is evaluate(x.tobytes())[0]
-            assert evaluate.cache_info().misses == i + 1
+            for (value, grad), cons, cons_jac, resid in (row, evaluate(x[None])[0]):
+                assert type(value) is float and value == ref_value
+                assert same_bits(value, ref_value) and same_bits(grad, ref_grad)
+                assert same_bits(resid, ref_resid)
+                if zero:
+                    assert same_bits(cons, ref_cons) and same_bits(cons_jac, ref_jac)
 
     def test_numpy_sum_order(self):
         rng = np.random.default_rng(7)
@@ -499,8 +499,8 @@ class TestStartsAndDescents:
         calls = []
         descend = quantum._descend
 
-        def recording(evaluate, evaluate_many, starts):
-            ends, evaluations = descend(evaluate, evaluate_many, starts)
+        def recording(evaluate, starts):
+            ends, evaluations = descend(evaluate, starts)
             calls.append((np.array(starts), ends))
             return ends, evaluations
 
@@ -534,9 +534,8 @@ class TestStartsAndDescents:
         results."""
         pytest.importorskip("scipy.optimize._slsqplib")
         direct = quantum._evaluator(space, objective, zeros, -1.0)
-        batch = quantum._batch_evaluator(space, objective, zeros, -1.0)
-        reference = quantum._evaluator(space, objective, zeros, -1.0)
-        ends, evaluations = quantum._descend(direct, batch, np.asarray(x0s))
+        reference = point_evaluator(space, objective, zeros, -1.0)
+        ends, evaluations = quantum._descend(direct, np.asarray(x0s))
         assert len(ends) == len(x0s)
         results = []
         for x0, (x, success, value, _) in zip(x0s, ends):
@@ -605,9 +604,25 @@ class TestStartsAndDescents:
         assert proc.stdout.split() == ["[]", "True"]
 
 
+def one_point(evaluate):
+    """``evaluate`` (an `_evaluator`) one point at a time, ``x.tobytes()`` in,
+    behind a one-point cache, as the reference loops below read it; the
+    cache's misses count the points they evaluate."""
+
+    @functools.lru_cache(maxsize=1)
+    def at(key):
+        return evaluate(np.frombuffer(key)[None])[0]
+
+    return at
+
+
+def point_evaluator(space, objective_cells, zero_cells, sign):
+    return one_point(quantum._evaluator(space, objective_cells, zero_cells, sign))
+
+
 def _minimize(evaluate, x0):
     """One SLSQP descent from ``x0`` through `scipy.optimize.minimize`, which
-    reads ``evaluate`` (an `_evaluator`) through its one-point cache."""
+    reads ``evaluate`` (a `point_evaluator`) through its one-point cache."""
     from scipy.optimize import minimize
 
     constraints = [{
@@ -621,9 +636,10 @@ def _minimize(evaluate, x0):
     )
 
 
-def _minimize_descend(evaluate, evaluate_many, x0s):
+def _minimize_descend(evaluate, x0s):
     """`_descend` through `_minimize`, one start after another, counting the
     points evaluated as the cache's misses."""
+    evaluate = one_point(evaluate)
     ends = []
     for x0 in x0s:
         res = _minimize(evaluate, x0)
@@ -634,7 +650,7 @@ def _minimize_descend(evaluate, evaluate_many, x0s):
 
 # The per-start kernel loop that the lockstep `_descend` replaced, kept as
 # the reference it must equal bit for bit: one descent at a time, one
-# `_evaluator` call per point, through its one-point cache.
+# `point_evaluator` call per point, through its one-point cache.
 def _reference_descend(evaluate, x0):
     slsqp = quantum._slsqp_kernel()
     (fx, g), zeros, jac, _ = evaluate(x0.tobytes())
@@ -664,7 +680,7 @@ def _reference_descend(evaluate, x0):
 
 
 def _reference_extremize(space, objective_cells, zero_cells, sign, cfg):
-    evaluate = quantum._evaluator(space, objective_cells, zero_cells, sign)
+    evaluate = point_evaluator(space, objective_cells, zero_cells, sign)
 
     def descend(x0):
         x, success = _reference_descend(evaluate, x0)
@@ -693,15 +709,36 @@ def _reference_extremize(space, objective_cells, zero_cells, sign, cfg):
     )
 
 
+def search_repr(extremize, *args):
+    """repr of ``extremize(*args)``'s result, or of its error."""
+    try:
+        return repr(extremize(*args))
+    except ConvergenceError as exc:
+        return f"ConvergenceError: {exc}"
+
+
+def record_rounds(patch):
+    """Make every `quantum._evaluator` record how many rows each of its
+    calls takes, through ``patch`` (a monkeypatch); returns the record."""
+    rounds, evaluator = [], quantum._evaluator
+
+    def recording(*args):
+        evaluate = evaluator(*args)
+
+        def counted(xs):
+            rounds.append(len(xs))
+            return evaluate(xs)
+
+        return counted
+
+    patch.setattr(quantum, "_evaluator", recording)
+    return rounds
+
+
 def lockstep_and_reference(space, objective_cells, zero_cells, sign, cfg):
     """repr of `_extremize`'s result (or its error) and the reference's."""
-    out = []
-    for extremize in (quantum._extremize, _reference_extremize):
-        try:
-            out.append(repr(extremize(space, objective_cells, zero_cells, sign, cfg)))
-        except ConvergenceError as exc:
-            out.append(f"ConvergenceError: {exc}")
-    return out
+    args = (space, objective_cells, zero_cells, sign, cfg)
+    return [search_repr(extremize, *args) for extremize in (quantum._extremize, _reference_extremize)]
 
 
 class TestLockstep:
@@ -731,12 +768,14 @@ class TestLockstep:
     ])
     def test_every_round_batched_or_none(self, monkeypatch, real_mode, product_mode, fixed, batch_min):
         # every round through the batched pass (1), single points alone (2),
-        # or every point through `_evaluator` (1000): the same searches
-        monkeypatch.setattr(quantum, "_BATCH_MIN", batch_min)
+        # or every point alone (1000): the same searches as the reference,
+        # which takes every point alone
         space = _SearchSpace(real_mode, product_mode, fixed_state=fixed)
         for objective in self.OBJECTIVES.values():
-            got, want = lockstep_and_reference(space, *objective, SMALL_CFG)
-            assert got == want
+            with monkeypatch.context() as patch:
+                patch.setattr(quantum, "_BATCH_MIN", batch_min)
+                got = search_repr(quantum._extremize, space, *objective, SMALL_CFG)
+            assert got == search_repr(_reference_extremize, space, *objective, SMALL_CFG)
 
     def test_default_search_in_every_family(self):
         cfg = OptimizerConfig()
@@ -759,11 +798,10 @@ class TestLockstep:
         space = _SearchSpace(True, False)
         cfg = OptimizerConfig(starts=6)
         evaluate = quantum._evaluator(space, (q.j,), (q.k, q.l, q.m), -1.0)
-        batch = quantum._batch_evaluator(space, (q.j,), (q.k, q.l, q.m), -1.0)
         x0s = quantum._starts(space, cfg.starts, cfg.seed)
-        ends, _ = quantum._descend(evaluate, batch, x0s)
+        ends, _ = quantum._descend(evaluate, x0s)
         x, success, _, _ = ends[5]
-        reference = quantum._evaluator(space, (q.j,), (q.k, q.l, q.m), -1.0)
+        reference = point_evaluator(space, (q.j,), (q.k, q.l, q.m), -1.0)
         ref_x, ref_success = _reference_descend(reference, x0s[5])
         assert x.tobytes() == ref_x.tobytes()
         assert success is ref_success is False
@@ -775,9 +813,7 @@ class TestLockstep:
         # starts run in groups of `_LOCKSTEP_STARTS` (24 starts in groups of
         # 5): no round holds more points, no more descents live at once,
         # and the searches are the same
-        monkeypatch.setattr(quantum, "_LOCKSTEP_STARTS", 5)
-        monkeypatch.setattr(quantum, "_BATCH_MIN", 1)
-        alive, peak, rounds = weakref.WeakSet(), [0], []
+        alive, peak = weakref.WeakSet(), [0]
 
         class Counted(quantum._Descent):
             def __init__(self, *args):
@@ -785,19 +821,32 @@ class TestLockstep:
                 alive.add(self)
                 peak[0] = max(peak[0], len(alive))
 
-        evaluate_points = quantum._evaluate_points
-
-        def recording(evaluate, evaluate_many, xs):
-            rounds.append(len(xs))
-            return evaluate_points(evaluate, evaluate_many, xs)
-
-        monkeypatch.setattr(quantum, "_Descent", Counted)
-        monkeypatch.setattr(quantum, "_evaluate_points", recording)
         space = _SearchSpace(real_mode, False)
-        got, want = lockstep_and_reference(space, *self.OBJECTIVES["hardy"], SMALL_CFG)
-        assert got == want
+        args = (space, *self.OBJECTIVES["hardy"], SMALL_CFG)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_LOCKSTEP_STARTS", 5)
+            patch.setattr(quantum, "_BATCH_MIN", 1)
+            patch.setattr(quantum, "_Descent", Counted)
+            rounds = record_rounds(patch)
+            got = search_repr(quantum._extremize, *args)
+        assert got == search_repr(_reference_extremize, *args)
         assert peak[0] == 5 and max(rounds) == 5
         assert rounds[:1] == [5] and 4 in rounds  # the last group holds 24 - 4 * 5
+
+    @pytest.mark.parametrize("real_mode", [True, False])
+    @pytest.mark.parametrize("objective", ["hardy", "sigma"])
+    def test_each_point_evaluated_once(self, monkeypatch, real_mode, objective):
+        # the rows a search passes its evaluator are the points its
+        # diagnostics count, and one more: the winner, evaluated again
+        rounds = record_rounds(monkeypatch)
+        cfg = OptimizerConfig(starts=SMALL_CFG.starts, real_mode=real_mode)
+        if objective == "hardy":
+            opt = maximize_hardy(self.HARDY, cfg)
+        else:
+            opt = maximize_sigma(2, cfg)
+        *descents, winner = rounds
+        assert rounds[0] == cfg.starts and winner == 1
+        assert sum(descents) == opt.diagnostics.kernel_evaluations
 
     def test_complex_fixed_state_in_real_mode_names_the_cause(self):
         state = TwoQubitState((0.5, 0.5j, -0.5, 0.5))
@@ -819,7 +868,7 @@ class TestLockstep:
 
 
 class TestBatchEvaluator:
-    """`_batch_evaluator` against `_evaluator`, point by point, bit for bit."""
+    """`_evaluator`'s batched pass against its point-by-point path, bit for bit."""
 
     FLOAT_SPACES = {
         "real": (True, False, None),
@@ -846,19 +895,22 @@ class TestBatchEvaluator:
 
     @pytest.mark.parametrize("objective", list(OBJECTIVES))
     @pytest.mark.parametrize("name", list(FLOAT_SPACES))
-    def test_equals_scalar_evaluator(self, name, objective):
+    def test_equals_scalar_evaluator(self, monkeypatch, name, objective):
         cells, zeros, sign = self.OBJECTIVES[objective]
         rng = np.random.default_rng([70, sorted(self.FLOAT_SPACES).index(name)])
         space = self.float_space(name, rng)
         evaluate = quantum._evaluator(space, cells, zeros, sign)
-        evaluate_many = quantum._batch_evaluator(space, cells, zeros, sign)
         for size in (1, 3, 4, 5, 64):
             xs = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (size, space.dims))
             xs[0, : space.n_state] = 0.0  # exact zeros in the state and its derivatives
-            got = evaluate_many(xs)
+            alone = [evaluate(x[None])[0] for x in xs]  # one point: point by point
+            with monkeypatch.context() as patch:
+                patch.setattr(quantum, "_BATCH_MIN", 1)
+                patch.setattr(space, "amplitudes", None)  # the point path's kernel call
+                got = evaluate(xs)
             assert len(got) == size
-            for x, ((value, grad), zs, zjac, resid) in zip(xs, got):
-                (ref_value, ref_grad), ref_zs, ref_zjac, ref_resid = evaluate(x.tobytes())
+            for ((value, grad), zs, zjac, resid), ref in zip(got, alone):
+                (ref_value, ref_grad), ref_zs, ref_zjac, ref_resid = ref
                 assert type(value) is float and same_bits(value, ref_value)
                 assert grad.shape == (space.dims,) and grad.flags.c_contiguous
                 assert same_bits(grad, ref_grad)
@@ -886,12 +938,26 @@ class TestBatchEvaluator:
                 "the batched search evaluator is then not bit-identical to `_evaluator`"
             )
 
-    def test_complex_spaces_have_none(self):
+    def test_complex_spaces_go_point_by_point(self, monkeypatch):
+        # even with every round batched, complex amplitudes go one point at a
+        # time through the kernel, with the reference's bits
+        monkeypatch.setattr(quantum, "_BATCH_MIN", 1)
+        rng = np.random.default_rng(72)
         state = TwoQubitState((0.5, 0.5j, -0.5, 0.5))
         for space in (_SearchSpace(False, False), _SearchSpace(False, True),
                       _SearchSpace(True, False, fixed_state=state),
                       _SearchSpace(False, False, fixed_state=singlet())):
-            assert quantum._batch_evaluator(space, (13,), (4, 5, 9), -1.0) is None
+            assert space.complex_amps
+            points = []
+            amplitudes = space.amplitudes
+            monkeypatch.setattr(space, "amplitudes", lambda x, cells: points.append(x) or amplitudes(x, cells))
+            xs = rng.uniform(0.0, 2.0 * math.pi, (16, space.dims))
+            got = quantum._evaluator(space, (13,), (4, 5, 9), -1.0)(xs)
+            assert len(points) == len(got) == len(xs)
+            for x, seen, row in zip(xs, points, got):
+                assert same_bits(seen, x)
+                ref = reference_evaluation(space, (13,), (4, 5, 9), -1.0, x)
+                assert all(same_bits(a, b) for a, b in zip((*row[0], *row[1:]), (*ref[0], *ref[1:])))
 
 
 class TestHardySearch:
