@@ -244,7 +244,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     q = None if args.quadruple is None else _parse_quadruple(args.quadruple)
     check_alpha(args.alpha)
     b, label = _behavior_from_args(args)
-    if args.out_csv:  # what opening it would raise after the draw, raised before it
+    if args.out_csv is not None:  # what opening it would raise after the draw, raised before it
+        if not args.out_csv:  # an empty path names no file
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), args.out_csv)
         # open finds the folder first; a path ending in a separator then
         # names a directory, whether or not it exists
         name = args.out_csv.rstrip(os.sep + (os.altsep or ""))
@@ -255,7 +257,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if name != args.out_csv or os.path.isdir(name):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), args.out_csv)
     log = simulate(b, args.n, seed=args.seed, policy=args.policy, n_shards=args.shards)
-    if args.out_csv:
+    if args.out_csv is not None:
         log.to_csv(args.out_csv)
         _note(f"wrote {len(log)} trials to {args.out_csv}")
     stats = estimate(log)

@@ -257,6 +257,21 @@ class TestSimulate:
         assert err == f"cannot open {path}: {opened.value.strerror}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
 
+    def test_empty_out_csv_rejected_before_drawing(self, capsys, monkeypatch, tmp_path):
+        # an empty path names no file: open("") refuses it, so it is an error,
+        # not a request for no log
+        def refuse(*args, **kwargs):
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as opened:
+            open("", "wb")
+        code, out, err = run(capsys, "simulate", "--box", "mermin", "--n", "1000", "--out-csv", "")
+        assert code == 2 and out == ""
+        assert err == f"cannot open : {opened.value.strerror}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed(self, capsys, seed):
         code, out, err = run(capsys, "simulate", "--box", "mermin", "--n", "1000", "--seed", seed)

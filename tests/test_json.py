@@ -8,9 +8,10 @@ The files under ``tests/data/cli`` are the stdout of the commands in
 `GOLDEN` and `HELP`; regenerate one with, e.g.,
 ``python -m hardybox enumerate > tests/data/cli/enumerate.json`` or
 ``COLUMNS=80 python -m hardybox check --help > tests/data/cli/help_check.txt``.
-Every number in them is a dyadic rational or a literal of `hardybox.boxes`,
-so no difference in summation order or libm rounding between platforms can
-change them.
+Every number in them is a dyadic rational or a literal of `hardybox.boxes`
+or of the command line, so no difference in summation order or libm rounding
+between platforms can change them; `simulate`'s trials come from the pinned
+Philox streams.
 
 `json_text` writes every document; `json.dumps(value, indent=2,
 allow_nan=False)` is its oracle here.
@@ -277,6 +278,10 @@ GOLDEN = {
     "check_mermin.json": ["check", "--box", "mermin"],
     "check_hardy_pattern_a.json": ["check", "--box", "hardy_pattern_a"],
     "check_hardy_pattern_b.json": ["check", "--box", "hardy_pattern_b"],
+    # two trials: blocks (1,1) and (1,2) empty, the two A2 rows of zero pooled variance
+    "simulate_empty_blocks.json": [
+        "simulate", "--box", "mermin", "--n", "2", "--seed", "1", "--quadruple", "1:13",
+    ],
 }
 
 

@@ -324,7 +324,11 @@ class TestInequalityTest:
             [[5, 5, 5, 5], [0, 0, 0, 0], [5, 5, 5, 5], [5, 5, 5, 5]]
         )
         res = run_inequality_test(stats, quadruple_for(1, 13), alpha=0.01)
-        assert res.inconclusive
+        assert math.isnan(res.lower_slack) and math.isnan(res.upper_slack)
+        assert res.stderr == math.inf
+        assert math.isnan(res.z_lower) and math.isnan(res.z_upper)
+        assert res.violated_lower is False and res.violated_upper is False
+        assert res.inconclusive is True
         assert not res.violated
 
     @pytest.mark.parametrize("cells", [(0, 5, 9, 13), (1, 5, 9, 17), (-3, 5, 9, 13), (1, 2, 9, 13)])
@@ -374,12 +378,24 @@ class TestSignalingTest:
         counts = [[10, 0, 0, 0]] * 4
         report = run_signaling_test(SampleStats.from_counts(counts))
         assert not report.detected
-        assert all(r.z == 0.0 for r in report.rows)
+        for r in report.rows:
+            assert r.z == 0.0 and r.p_value == 1.0
+            assert r.significant is False and r.inconclusive is False
 
     def test_inconclusive_on_empty_block(self):
+        # block a1b2 is empty: the A1 and B2 rows read it, the A2 and B1
+        # rows compare two blocks with every trial in one outcome
         counts = [[10, 0, 0, 0], [0, 0, 0, 0], [10, 0, 0, 0], [10, 0, 0, 0]]
         report = run_signaling_test(SampleStats.from_counts(counts))
-        assert report.inconclusive
+        assert report.inconclusive and not report.detected
+        for r in report.rows:
+            assert r.significant is False
+            if (r.party.value, r.setting) in {("A", 1), ("B", 2)}:
+                assert math.isnan(r.z) and math.isnan(r.p_value)
+                assert r.inconclusive is True
+            else:
+                assert r.z == 0.0 and r.p_value == 1.0
+                assert r.inconclusive is False
 
     def test_calibration_on_no_signaling_mixture(self):
         # family-wise false detection stays at or below the nominal level
