@@ -95,9 +95,10 @@ _CSV_HEADER = ["settingA", "settingB", "outcomeA", "outcomeB"]
 SETTINGS_SUBSTREAM = 4
 
 #: most trials `simulate` accepts.  Simulating and estimating peak at about
-#: 1.1 bytes per trial at the cap, 1 of them the log itself (tracemalloc, on
-#: two threads, with 1 and 16 shards alike: 1.1 at 60M trials, 1.15 at 20M,
-#: 1.6 at 4M), so a `simulate` process at the cap peaks at about 102 MB.
+#: 1.06 bytes per trial at the cap, 1 of them the log itself (tracemalloc, on
+#: two threads, 1 or 16 shards: 63.5 MB at 60M trials, 1.14 bytes per trial
+#: at 20M, 1.65-1.80 at 4M); a `simulate` process at the cap peaks at about
+#: 101 MiB resident (getrusage), 39 MiB of it present at 1,000 trials.
 MAX_TRIALS = 60_000_000
 
 #: most trials `simulate` draws and `estimate` tabulates in one piece; bounds

@@ -27,10 +27,11 @@ angles.  scipy >= 1.16 supplies the solver: its SLSQP kernel,
 the first search, so importing the package, and every command that does
 not search, runs without scipy.
 
-The kernel's descents run in lockstep, in groups of up to 64 starts
-(`_descend`): each round steps every live descent of a group to the next
-point it asks for, and one evaluator, `_evaluator`, takes the round's new
-points together.  Float amplitudes (below) in rounds of 4 points or more
+Each descent is one generator, `_descent`, that yields the points it needs
+evaluated.  They run in lockstep, in groups of up to 64 starts
+(`_descend`): each round sends every live descent of a group its point's
+evaluation, and one evaluator, `_evaluator`, takes the new points they
+yield together.  Float amplitudes (below) in rounds of 4 points or more
 (`_BATCH_MIN`) go through one numpy pass over all of them, elementwise with
 the same float operations in the same order, so each point gets the same
 bits as alone; complex amplitudes, and smaller rounds, go point by point.
@@ -51,7 +52,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -214,14 +215,18 @@ def _born_amps(
     return amps, jac
 
 
+def _check_normalized(state: TwoQubitState) -> None:
+    dev = abs(state.norm_squared() - 1.0)
+    if dev > 1e-9:
+        raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
+
+
 def born_behavior(state: TwoQubitState, settings: MeasurementSettings) -> Behavior:
     """Behavior induced by the Born rule; cells follow the package numbering.
 
     The state must be normalized to within 1e-9.
     """
-    dev = abs(state.norm_squared() - 1.0)
-    if dev > 1e-9:
-        raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
+    _check_normalized(state)
     dirs = [(d.theta, d.phi) for d in (settings.a1, settings.a2, settings.b1, settings.b2)]
     amps, _ = _born_amps(state.amplitudes, None, dirs, range(1, 17), real=False)
     return Behavior(tuple(abs(a) ** 2 for a in amps))
@@ -243,11 +248,11 @@ class OptimizerConfig:
     and roughly halves the search dimension; ``product_mode`` restricts the
     state to a tensor product.
 
-    The descents run in lockstep in groups of 64 starts, so a search holds
-    at most 64 SLSQP workspaces at once, about 6 KB each in real mode and
-    20 KB in complex mode: a ``starts=4096`` Hardy search peaked at 2.3 MB
-    (real) and 3.7 MB (complex) of Python allocations (tracemalloc), where
-    descents one at a time took 1.6 and 1.9 MB.
+    The descents, one generator each, run in lockstep in groups of 64
+    starts, so a search holds at most 64 SLSQP workspaces at once, about
+    6 KB each in real mode and 20 KB in complex mode: a ``starts=4096``
+    Hardy search peaked at 2.35 MB (real) and 3.59 MB (complex) of Python
+    allocations (tracemalloc), where descents one at a time took 1.6 and 1.9 MB.
     """
 
     starts: int = 64
@@ -552,54 +557,42 @@ def _evaluator(
     return evaluate
 
 
-class _Descent:
-    """One SLSQP descent: the kernel's state dict and work arrays, and the
-    last point evaluated with its `_evaluator` result."""
-
-    __slots__ = ("state", "work", "x", "d", "C", "key", "point", "fx", "g")
-
-    def __init__(self, x0: np.ndarray, point: tuple, m: int):
-        n = len(x0)
-        self.state = {
-            "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
-            "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL, "exact": 0, "inconsistent": 0,
-            "reset": 0, "iter": 0, "itermax": _MAXITER, "line": 0, "m": m, "meq": m, "mode": 0,
-            "n": n,
-        }
-        # scipy's workspace formula with every constraint an equality
-        size = n * (n + 1) // 2 + 2 * n * (n + 1) + 8 * n * n + 35 * n - 2 * m * n + 2 * m + 28
-        self.work = (  # multipliers, NaN bounds for none, workspace, indices
-            np.zeros(m + 2 * n + 2), np.full(n, np.nan), np.full(n, np.nan),
-            np.zeros(size), np.zeros(m + 2 * n + 2, dtype=np.int32),
-        )
-        self.x, self.d, self.C = np.array(x0), np.zeros(max(1, m)), np.zeros((max(1, m), n), order="F")
-        self.key, self.point = self.x.tobytes(), point
-        (self.fx, self.g), zeros, jac, _ = point
-        self.d[:m], self.C[:m] = zeros, jac.reshape(m, n)  # a sigma search has no constraint rows
-
-    def step(self, slsqp: Callable) -> bool:
-        """Call the kernel until it asks for a new point (True) or stops (False)."""
-        while True:
-            slsqp(self.state, self.fx, self.g, self.C, self.d, self.x, *self.work)
-            if self.x.tobytes() != self.key:
-                return True
-            if not self.answer():
-                return False
-
-    def take(self, point: tuple) -> None:
-        """Hold ``point``, the evaluation at the new ``x``, and answer from it."""
-        self.key, self.point = self.x.tobytes(), point
-        self.answer()
-
-    def answer(self) -> bool:
-        """Pass the kernel what it asked for from the point held; False if it stopped."""
-        m, n, mode = self.state["m"], self.state["n"], self.state["mode"]
+def _descent(x0: np.ndarray) -> Generator[np.ndarray, tuple, tuple[np.ndarray, bool, float, float]]:
+    """One SLSQP descent from ``x0``: yields each point it needs evaluated,
+    ``x0`` first, and is sent its `_evaluator` result; returns the end
+    point, whether SLSQP succeeded, and the value and largest constrained
+    probability there."""
+    slsqp = _slsqp_kernel()
+    (fx, g), zeros, jac, _ = point = yield x0
+    n, m = len(x0), len(zeros)
+    state = {
+        "acc": _FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+        "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * _FTOL, "exact": 0, "inconsistent": 0,
+        "reset": 0, "iter": 0, "itermax": _MAXITER, "line": 0, "m": m, "meq": m, "mode": 0, "n": n,
+    }
+    # scipy's workspace formula with every constraint an equality
+    size = n * (n + 1) // 2 + 2 * n * (n + 1) + 8 * n * n + 35 * n - 2 * m * n + 2 * m + 28
+    work = (  # multipliers, NaN bounds for none, workspace, indices
+        np.zeros(m + 2 * n + 2), np.full(n, np.nan), np.full(n, np.nan),
+        np.zeros(size), np.zeros(m + 2 * n + 2, dtype=np.int32),
+    )
+    x, d, C = np.array(x0), np.zeros(max(1, m)), np.zeros((max(1, m), n), order="F")
+    d[:m], C[:m] = zeros, jac.reshape(m, n)  # a sigma search has no constraint rows
+    key = x.tobytes()
+    while True:
+        slsqp(state, fx, g, C, d, x, *work)
+        if x.tobytes() != key:  # a new point: hold its evaluation
+            key = x.tobytes()
+            point = yield x
+        mode = state["mode"]
         if mode == 1:
-            (self.fx, _), self.d[:m], _, _ = self.point
+            (fx, _), d[:m], _, _ = point
         elif mode == -1:
-            (_, self.g), _, jac, _ = self.point
-            self.C[:m] = jac.reshape(m, n)
-        return abs(mode) == 1
+            (_, g), _, jac, _ = point
+            C[:m] = jac.reshape(m, n)
+        else:
+            (value, _), _, _, resid = point
+            return x, mode == 0, value, resid
 
 
 # Starts per lockstep group: a search holds at most this many SLSQP
@@ -609,7 +602,7 @@ _LOCKSTEP_STARTS = 64
 
 
 def _descend(evaluate: Callable, x0s: np.ndarray) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
-    """One SLSQP descent from each row of ``x0s``, in lockstep groups.
+    """One `_descent` from each row of ``x0s``, in lockstep groups.
 
     Returns each descent's end point, whether SLSQP succeeded, and the
     value and largest constrained probability there; and the number of
@@ -623,38 +616,28 @@ def _descend(evaluate: Callable, x0s: np.ndarray) -> tuple[list[tuple[np.ndarray
     Each descent passes it exactly what `scipy.optimize.minimize` passes
     (state, workspace sizes, NaN bounds for none), so it takes the same
     steps bit for bit, without minimize's Python layer.  The starts run in
-    groups of `_LOCKSTEP_STARTS`, one after another.  Each round of a group
-    calls the kernel of every live descent until it asks for a point other
-    than the one it holds, or stops; then all new points of the round,
-    including end points not yet evaluated, go to ``evaluate`` together,
-    and the descents that stopped drop out.  A point's evaluation does not
-    depend on the others of its round, so neither does any descent.
+    groups of `_LOCKSTEP_STARTS`, one after another.  Each round sends
+    every live descent of a group the evaluation it asked for, and the
+    descent calls its kernel until it asks for a new point or stops; the
+    round's new points, end points not yet evaluated included, go to
+    ``evaluate`` together.  A point's evaluation does not depend on the
+    others of its round, so neither does any descent.
     """
-    ends: list = []
+    ends: list = [None] * len(x0s)
     evaluations = 0
     for lo in range(0, len(x0s), _LOCKSTEP_STARTS):
-        group_ends, group_evaluations = _lockstep(evaluate, x0s[lo : lo + _LOCKSTEP_STARTS])
-        ends += group_ends
-        evaluations += group_evaluations
-    return ends, evaluations
-
-
-def _lockstep(evaluate: Callable, x0s: np.ndarray) -> tuple[list[tuple[np.ndarray, bool, float, float]], int]:
-    """`_descend` for one group of starts, all live at once."""
-    slsqp = _slsqp_kernel()
-    live = {i: _Descent(x0, point, len(point[1])) for i, (x0, point) in enumerate(zip(x0s, evaluate(x0s)))}
-    ends: list = [None] * len(live)
-    evaluations = len(live)
-    while live:
-        asked = [ds for ds in live.values() if ds.step(slsqp)]
-        for ds, point in zip(asked, evaluate(np.array([ds.x for ds in asked]))):
-            ds.take(point)
-        evaluations += len(asked)
-        for i, ds in list(live.items()):
-            if abs(ds.state["mode"]) != 1:  # stopped: keep what the ranking reads, free the rest
-                (value, _), _, _, resid = ds.point
-                ends[i] = (ds.x, ds.state["mode"] == 0, value, resid)
-                del live[i]
+        live = {i: _descent(x0) for i, x0 in enumerate(x0s[lo : lo + _LOCKSTEP_STARTS], lo)}
+        asked = [next(ds) for ds in live.values()]  # imports scipy before any evaluation
+        while live:
+            points = evaluate(np.array(asked))
+            evaluations += len(points)
+            asked = []
+            for i, point in zip(list(live), points):
+                try:
+                    asked.append(live[i].send(point))
+                except StopIteration as stop:
+                    ends[i] = stop.value
+                    del live[i]
     return ends, evaluations
 
 
@@ -741,9 +724,12 @@ def maximize_hardy(
 ) -> HardyOptimum:
     """Search for the largest pj subject to pk = pl = pm = 0 (see `_extremize`).
 
-    Raises `ConvergenceError` if no start gets the three constrained cells
-    within ``cfg.constraint_tol``.
+    A ``fixed_state`` must be normalized, as for `born_behavior`.  Raises
+    `ConvergenceError` if no start gets the three constrained cells within
+    ``cfg.constraint_tol``.
     """
+    if fixed_state is not None:
+        _check_normalized(fixed_state)
     cfg = cfg or OptimizerConfig()
     space = _SearchSpace(cfg.real_mode, cfg.product_mode, fixed_state=fixed_state)
     state, settings, b, diagnostics = _extremize(space, (q.j,), (q.k, q.l, q.m), -1.0, cfg)
@@ -774,11 +760,14 @@ def maximize_sigma(
 ) -> SigmaOptimum:
     """Extremize one CHSH probability sum over states and settings.
 
+    ``sigma_index`` is an integer in 1..4, Python or numpy but not a bool.
     Unconstrained search; ``constraint_tol`` is unused.  ``product_mode``
     restricts to unentangled states, whose extrema are the classical 1 and 3.
     """
-    if sigma_index not in (1, 2, 3, 4):
+    is_int = isinstance(sigma_index, (int, np.integer)) and not isinstance(sigma_index, bool)
+    if not (is_int and 1 <= sigma_index <= 4):
         raise ValueError(f"sigma index must be 1..4, got {sigma_index!r}")
+    sigma_index = int(sigma_index)
     cfg = cfg or OptimizerConfig()
     space = _SearchSpace(cfg.real_mode, cfg.product_mode)
     sign = 1.0 if minimize_value else -1.0

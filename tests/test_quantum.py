@@ -813,20 +813,20 @@ class TestLockstep:
         # starts run in groups of `_LOCKSTEP_STARTS` (24 starts in groups of
         # 5): no round holds more points, no more descents live at once,
         # and the searches are the same
-        alive, peak = weakref.WeakSet(), [0]
+        alive, peak, descent = weakref.WeakSet(), [0], quantum._descent
 
-        class Counted(quantum._Descent):
-            def __init__(self, *args):
-                super().__init__(*args)
-                alive.add(self)
-                peak[0] = max(peak[0], len(alive))
+        def counted(x0):
+            ds = descent(x0)
+            alive.add(ds)
+            peak[0] = max(peak[0], len(alive))
+            return ds
 
         space = _SearchSpace(real_mode, False)
         args = (space, *self.OBJECTIVES["hardy"], SMALL_CFG)
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "_LOCKSTEP_STARTS", 5)
             patch.setattr(quantum, "_BATCH_MIN", 1)
-            patch.setattr(quantum, "_Descent", Counted)
+            patch.setattr(quantum, "_descent", counted)
             rounds = record_rounds(patch)
             got = search_repr(quantum._extremize, *args)
         assert got == search_repr(_reference_extremize, *args)
@@ -960,6 +960,16 @@ class TestBatchEvaluator:
                 assert all(same_bits(a, b) for a, b in zip((*row[0], *row[1:]), (*ref[0], *ref[1:])))
 
 
+def forbid_drawing(monkeypatch):
+    """Make drawing a start or descending raise."""
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(quantum, "_starts", no_draw)
+    monkeypatch.setattr(quantum, "_descend", no_draw)
+
+
 class TestHardySearch:
     def test_reaches_known_optimum(self):
         opt = maximize_hardy(quadruple_for(1, 13), SMALL_CFG)
@@ -1014,6 +1024,13 @@ class TestHardySearch:
         assert report.passed
         assert all(abs(c) >= 1.0 - 1e-5 for c in report.correlations)
         assert all(abs(d) <= 2.0 + 4e-5 for d in report.deltas)
+
+    def test_unnormalized_fixed_state_refused_before_drawing(self, monkeypatch):
+        # |s|^2 = 1.49: born_behavior's refusal, before any start is drawn
+        forbid_drawing(monkeypatch)
+        s = TwoQubitState((1.0, 0.6, -0.3, 0.2))
+        with pytest.raises(ValueError, match=r"^state norm deviates from 1 by 4\.900e-01$"):
+            maximize_hardy(quadruple_for(1, 13), SMALL_CFG, fixed_state=s)
 
     def test_convergence_error_when_impossible(self):
         # one start gets its constrained cells near 1e-29, not below 1e-300
@@ -1093,6 +1110,17 @@ class TestSigmaSearch:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             maximize_sigma(5, SMALL_CFG)
+
+    @pytest.mark.parametrize("index", [2.0, True, np.True_, np.int64(5)])
+    def test_index_not_an_integer_in_range_refused_before_drawing(self, monkeypatch, index):
+        forbid_drawing(monkeypatch)
+        with pytest.raises(ValueError, match=r"^sigma index must be 1\.\.4, got "):
+            maximize_sigma(index, SMALL_CFG)
+
+    def test_numpy_index_stored_as_int(self):
+        opt = maximize_sigma(np.int64(2), SMALL_CFG)
+        assert type(opt.sigma_index) is int and opt.to_json_dict()["sigma_index"] == 2
+        assert repr(opt) == repr(maximize_sigma(2, SMALL_CFG))
 
 
 class TestPerfectCorrelationCheck:
