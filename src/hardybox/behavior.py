@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from numbers import Integral
 from pathlib import Path
 from typing import Literal, NamedTuple
 
@@ -229,6 +230,14 @@ def correlation_vector(b: Behavior) -> CorrelationVector:
         correlation(b, 2, 1),
         correlation(b, 2, 2),
     )
+
+
+def as_int(value: object, lo: int, hi: float, what: str) -> int:
+    """``int(value)``, for callers to go on with, if ``value`` is a Python or numpy
+    integer (not a bool) in ``lo..hi``; else ``ValueError(f"{what}, got {value!r}")``."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and lo <= int(value) <= hi:
+        return int(value)
+    raise ValueError(f"{what}, got {value!r}")
 
 
 class SchemaError(ValueError):

@@ -31,12 +31,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import inf, prod
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .behavior import DEFAULT_TOL, SIGNALING_ROWS, Behavior, cell_of
+from .behavior import DEFAULT_TOL, SIGNALING_ROWS, Behavior, as_int, cell_of
 
 #: Cells entering each CHSH probability sum; the primed sum uses the complement.
 #: Delta_i carries its -1 on setting block 4 - i (0-based), and Sigma_i holds
@@ -350,8 +350,7 @@ def random_no_signaling_behavior(
     passes.  ``rng`` needs ``bit_generator`` and ``uniform`` like a numpy
     ``Generator``.
     """
-    if not isinstance(max_tries, (int, np.integer)) or isinstance(max_tries, bool) or max_tries < 1:
-        raise ValueError(f"max_tries must be an integer >= 1, got {max_tries!r}")
+    max_tries = as_int(max_tries, 1, inf, "max_tries must be an integer >= 1")
     # the screen draws through a plain Generator on the same bit generator;
     # after the rewind, the caller's ``rng`` has drawn just the candidates tried
     bit_generator = rng.bit_generator

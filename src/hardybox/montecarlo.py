@@ -9,13 +9,13 @@ n, policy)`` and not on how the work is sharded: a shard skips the doubles
 consumed by earlier trials by advancing the counter in whole 4-word blocks
 and discarding the remainder word by word.
 
-`simulate` draws in ``max(n_shards, ceil(n / 2**18))`` consecutive pieces of
-near-equal size, but never more than ``n``: shards beyond ``n`` would be
-empty.  Each piece reads only its own stream positions, so the pieces run
-on up to one thread per CPU the process may use (its affinity mask), each
-thread pinned to a CPU of its own, and the log does not depend on the
-thread count; with one piece or one CPU everything runs in the calling
-thread.  The draw has three phases:
+`simulate` draws in ``max(min(n_shards, n, 1024), ceil(n / 2**18))``
+consecutive pieces of near-equal size: shards beyond ``n`` would be empty,
+and each piece builds a Philox of its own.  Each piece reads only its own
+stream positions, so the pieces run on up to one thread per CPU the process
+may use (its affinity mask), each thread pinned to a CPU of its own, and the
+log does not depend on the thread count; with one piece or one CPU
+everything runs in the calling thread.  The draw has three phases:
 
 1. Settings, per piece: the piece seeks substream 4 to its first trial
    (the skip rule above) and draws one double per trial straight into one
@@ -81,6 +81,7 @@ from .behavior import (
     SIGNALING_ROWS,
     Behavior,
     Party,
+    as_int,
     cell_of,
     cell_position,
     is_valid,
@@ -105,19 +106,16 @@ MAX_TRIALS = 60_000_000
 #: their temporary buffers.
 _PIECE = 1 << 18
 
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _check_n(n: object) -> None:
-    if not _is_int(n) or not 0 <= n <= MAX_TRIALS:
-        raise ValueError(f"n must be an integer in 0..{MAX_TRIALS}, got {n!r}")
+#: most pieces `simulate` draws in; each builds a Philox (about 0.2 ms, 3 KB)
+_MAX_PIECES = 1024
 
 
-def _check_seed(seed: object) -> None:
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
+def _check_n(n: object) -> int:
+    return as_int(n, 0, MAX_TRIALS, f"n must be an integer in 0..{MAX_TRIALS}")
+
+
+def _check_seed(seed: object) -> int:
+    return as_int(seed, 0, 2**64 - 1, "seed must be an integer in 0..2**64 - 1")
 
 
 def _check_policy(policy: object) -> None:
@@ -156,9 +154,12 @@ def _seek(bg: np.random.Philox, seed: int, substream: int, skip: int = 0) -> np.
 def block_rng(seed: int, substream: int, skip: int = 0) -> np.random.Generator:
     """A new Generator for one substream, positioned after ``skip`` double draws.
 
-    ``seed`` is checked like `simulate`'s.
+    ``seed`` is checked like `simulate`'s, ``substream`` (0..2**64 - 1) and
+    ``skip`` (>= 0) as integers, all before any generator is built.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
+    substream = as_int(substream, 0, 2**64 - 1, "substream must be an integer in 0..2**64 - 1")
+    skip = as_int(skip, 0, math.inf, "skip must be an integer >= 0")
     return np.random.Generator(_seek(np.random.Philox(0), seed, substream, skip))
 
 
@@ -169,8 +170,7 @@ def settings_sequence(n: int, seed: int, policy: str = "uniform") -> np.ndarray:
     per trial); ``roundrobin`` cycles deterministically.  ``n`` and ``seed``
     are checked like `simulate`'s.
     """
-    _check_n(n)
-    _check_seed(seed)
+    n, seed = _check_n(n), _check_seed(seed)
     _check_policy(policy)
     ids = np.empty(n, dtype=np.uint8)
     _settings_ids(block_rng(seed, SETTINGS_SUBSTREAM), ids, 0, policy)
@@ -433,17 +433,16 @@ def simulate(
     any number of CPUs, which the test suite pins down.  ``n`` must be an
     integer in 0..`MAX_TRIALS`, ``seed`` one in 0..2**64 - 1 (a Philox key
     word) and ``n_shards`` a positive integer; all are checked before
-    anything is drawn.  A block of zero total raises a ValueError naming it
-    after the settings are drawn, before any outcome is.  The pieces of the
-    draw run on up to one thread per usable CPU, as the module docstring
-    describes; every thread is joined before this returns or raises.
+    anything is drawn.  A block of zero total raises a ValueError naming the
+    first such block in piece order (above 1,024 shards, of the 1,024 pieces
+    drawn) after the settings are drawn, before any outcome is.  The pieces
+    of the draw run on up to one thread per usable CPU, as the module
+    docstring describes; every thread is joined before this returns or raises.
     """
-    _check_n(n)
-    _check_seed(seed)
+    n, seed = _check_n(n), _check_seed(seed)
     if not is_valid(b):
         raise ValueError("behavior cells must lie in [0, 1]")
-    if not _is_int(n_shards) or n_shards < 1:
-        raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
+    n_shards = as_int(n_shards, 1, math.inf, "n_shards must be a positive integer")
     _check_policy(policy)
     # a double u gives outcome pair 2 * (A gave -1) + (B gave -1): the number
     # of its block's first three cumulative probabilities at or below u (the
@@ -455,7 +454,7 @@ def simulate(
     cuts = np.cumsum(np.divide(cells, totals[:, None], out=np.zeros((4, 4)), where=live[:, None]), axis=1)
 
     ids = np.empty(n, dtype=np.uint8)
-    pieces = max(min(n_shards, n), -(-n // _PIECE))
+    pieces = max(min(n_shards, n, _MAX_PIECES), -(-n // _PIECE))
     bounds = [(s * n // pieces, (s + 1) * n // pieces) for s in range(pieces)]
     workers = min(pieces, _usable_cpus()) if pieces > 1 else 1
     # the workers share half a piece's worth of buffers: each sorts runs of

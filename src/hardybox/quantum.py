@@ -52,11 +52,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .behavior import Behavior, SchemaError, cell_of, correlation_vector, record_to_json
+from .behavior import Behavior, SchemaError, as_int, cell_of, correlation_vector, record_to_json
 from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values, sigma_values
 
 #: Largest Hardy probability reachable by two-qubit states: golden mean to the -5.
@@ -242,7 +243,8 @@ class OptimizerConfig:
 
     ``starts`` uniform random points (1..`MAX_STARTS`), drawn by
     ``numpy.random.default_rng(seed)``, each start one descent, which counts
-    when its constrained cells are at most ``constraint_tol``.
+    when its constrained cells are at most ``constraint_tol``.  ``starts`` and
+    ``seed`` take numpy integers too, not bools; fields are stored as Python types.
     ``real_mode`` restricts amplitudes and directions to the x-z plane
     (phases zero), which is enough for every extremum this package targets
     and roughly halves the search dimension; ``product_mode`` restricts the
@@ -262,19 +264,19 @@ class OptimizerConfig:
     product_mode: bool = False
 
     def __post_init__(self) -> None:
-        rules = {  # field: (accepted types, range check, what the error asks for)
-            "starts": (int, lambda v: 1 <= v <= MAX_STARTS, f"an integer in 1..{MAX_STARTS}"),
-            "constraint_tol": ((int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
-            "seed": (int, lambda v: v >= 0, "an integer >= 0"),
-            "real_mode": (bool, lambda v: True, "true or false"),
-            "product_mode": (bool, lambda v: True, "true or false"),
+        rules = {  # field: (accepted types, stored as, range check, what the error asks for)
+            "starts": (Integral, int, lambda v: 1 <= v <= MAX_STARTS, f"an integer in 1..{MAX_STARTS}"),
+            "constraint_tol": ((int, float), float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+            "seed": (Integral, int, lambda v: v >= 0, "an integer >= 0"),
+            "real_mode": (bool, bool, lambda v: True, "true or false"),
+            "product_mode": (bool, bool, lambda v: True, "true or false"),
         }
-        for name, (types, in_range, what) in rules.items():
+        for name, (types, cast, in_range, what) in rules.items():
             v = getattr(self, name)
             # bool is an int subclass: accept it only where a bool is wanted
             if not (isinstance(v, types) and (types is bool) == isinstance(v, bool) and in_range(v)):
                 raise SchemaError(f"{name} must be {what}, got {v!r}", name)
-        object.__setattr__(self, "constraint_tol", float(self.constraint_tol))
+            object.__setattr__(self, name, cast(v))
 
     to_json_dict = record_to_json
 
@@ -764,10 +766,7 @@ def maximize_sigma(
     Unconstrained search; ``constraint_tol`` is unused.  ``product_mode``
     restricts to unentangled states, whose extrema are the classical 1 and 3.
     """
-    is_int = isinstance(sigma_index, (int, np.integer)) and not isinstance(sigma_index, bool)
-    if not (is_int and 1 <= sigma_index <= 4):
-        raise ValueError(f"sigma index must be 1..4, got {sigma_index!r}")
-    sigma_index = int(sigma_index)
+    sigma_index = as_int(sigma_index, 1, 4, "sigma index must be 1..4")
     cfg = cfg or OptimizerConfig()
     space = _SearchSpace(cfg.real_mode, cfg.product_mode)
     sign = 1.0 if minimize_value else -1.0

@@ -17,6 +17,7 @@ from hardybox.behavior import (
     Party,
     SchemaError,
     SignalingRow,
+    as_int,
     behavior_from_json_dict,
     behavior_to_json_dict,
     block_sums,
@@ -286,3 +287,25 @@ def test_json_round_trip_property(probs):
 
 def test_default_tol_value():
     assert DEFAULT_TOL == 1e-9
+
+
+class TestAsInt:
+    """The one rule for integer arguments: Python or numpy integers, not bools."""
+
+    @pytest.mark.parametrize("value", [0, 7, np.int8(7), np.int64(3), np.uint64(7)])
+    def test_integers_in_range_come_back_as_python_ints(self, value):
+        got = as_int(value, 0, 7, "x must be 0..7")
+        assert type(got) is int and got == int(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.True_, np.False_, 7.0, 3.5, "7", None, -1, 8, np.int64(-1), np.uint64(2**64 - 1)],
+    )
+    def test_everything_else_refused_naming_the_value(self, value):
+        with pytest.raises(ValueError) as exc:
+            as_int(value, 0, 7, "x must be 0..7")
+        assert str(exc.value) == f"x must be 0..7, got {value!r}"
+
+    def test_unbounded_above(self):
+        assert as_int(2**100, 1, math.inf, "w must be an integer >= 1") == 2**100
+        assert as_int(np.uint64(2**64 - 1), 0, 2**64 - 1, "w") == 2**64 - 1

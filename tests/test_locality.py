@@ -523,3 +523,13 @@ class TestSamplerStream:
         got = random_no_signaling_behavior(np.random.default_rng(4), FreeSetId.S2, np.int64(1000))
         assert got == want
 
+    @pytest.mark.parametrize("max_tries", [0, -1, True, 2.5, "3"])
+    def test_max_tries_message_unchanged(self, max_tries):
+        with pytest.raises(ValueError) as exc:
+            random_no_signaling_behavior(np.random.default_rng(0), FreeSetId.S1, max_tries)
+        assert str(exc.value) == f"max_tries must be an integer >= 1, got {max_tries!r}"
+
+    def test_numpy_max_tries_used_as_int(self):
+        with pytest.raises(RuntimeError) as exc:
+            random_no_signaling_behavior(np.random.default_rng(0), FreeSetId.S1, np.uint64(5))
+        assert str(exc.value) == "no valid completion found in 5 draws"

@@ -1057,3 +1057,103 @@ class TestThreads:
         z = NormalDist().inv_cdf(1.0 - 0.01)
         assert montecarlo._z_alpha(0.01) == z
         assert result.violated_lower == (result.z_lower < -z)
+
+
+class TestIntegerArguments:
+    """``n``, ``seed`` and ``n_shards`` take Python or numpy integers, used as ints."""
+
+    # 300,000 trials make two pieces, so ``n`` reaches the skip arithmetic
+    @pytest.mark.parametrize(
+        "n, n_shards",
+        [
+            (np.int64(300_000), 1),
+            (np.uint64(300_000), 1),
+            (300_000, np.int64(3)),
+            (np.uint64(300_000), np.uint64(2)),
+        ],
+    )
+    def test_numpy_integers_draw_the_python_int_log(self, n, n_shards):
+        log = simulate(mermin_box(), n, np.int64(3), n_shards=n_shards)
+        assert log == simulate(mermin_box(), 300_000, 3)
+
+    @pytest.mark.parametrize("n, seed", [(np.int64(1000), np.int64(5)), (np.uint64(1000), np.uint64(5))])
+    def test_settings_sequence_takes_numpy_integers(self, n, seed):
+        assert settings_sequence(n, seed).tolist() == settings_sequence(1000, 5).tolist()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": -1}, "n must be an integer in 0..60000000, got -1"),
+            ({"n": 10.0}, "n must be an integer in 0..60000000, got 10.0"),
+            ({"n": MAX_TRIALS + 1}, "n must be an integer in 0..60000000, got 60000001"),
+            ({"seed": 1.5}, "seed must be an integer in 0..2**64 - 1, got 1.5"),
+            ({"seed": True}, "seed must be an integer in 0..2**64 - 1, got True"),
+            ({"seed": 2**64}, "seed must be an integer in 0..2**64 - 1, got 18446744073709551616"),
+            ({"n_shards": 0}, "n_shards must be a positive integer, got 0"),
+            ({"n_shards": True}, "n_shards must be a positive integer, got True"),
+            ({"n_shards": "4"}, "n_shards must be a positive integer, got '4'"),
+        ],
+    )
+    def test_messages_unchanged(self, monkeypatch, kwargs, message):
+        TestSimulate._forbid_drawing(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            simulate(pr_box(), **{"n": 10, "seed": 0, **kwargs})
+        assert str(exc.value) == message
+
+    def test_numpy_value_named_by_its_repr(self, monkeypatch):
+        TestSimulate._forbid_drawing(monkeypatch)
+        bad = np.int64(-2)
+        with pytest.raises(ValueError) as exc:
+            simulate(pr_box(), 10, seed=0, n_shards=bad)
+        assert str(exc.value) == f"n_shards must be a positive integer, got {bad!r}"
+
+
+class TestPieceCap:
+    def test_shards_near_n_draw_in_at_most_1024_pieces(self, monkeypatch):
+        counts = []
+
+        def record(fn, pieces, workers):
+            counts.append(pieces)
+            raise RuntimeError("stopped before any piece ran")
+
+        monkeypatch.setattr(montecarlo, "_each_piece", record)
+        with pytest.raises(RuntimeError, match="^stopped"):
+            simulate(mermin_box(), 200_000, seed=1, n_shards=200_000)
+        assert counts and counts[0] <= 1024
+
+    def test_many_shards_give_the_unsharded_log(self):
+        base = simulate(mermin_box(), 20_000, seed=6)
+        assert simulate(mermin_box(), 20_000, seed=6, n_shards=5_000) == base
+
+
+class TestBlockRngArguments:
+    """``substream`` and ``skip`` are checked before any generator is built."""
+
+    @staticmethod
+    def _forbid_building(monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "Philox", no_generator)
+
+    @pytest.mark.parametrize("substream", [1.5, -1, 2**64, True, np.True_, "1"])
+    def test_bad_substream_refused(self, monkeypatch, substream):
+        self._forbid_building(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            block_rng(3, substream)
+        assert str(exc.value) == f"substream must be an integer in 0..2**64 - 1, got {substream!r}"
+
+    @pytest.mark.parametrize("skip", [-4, -1, True, np.True_, 2.0, None])
+    def test_bad_skip_refused(self, monkeypatch, skip):
+        self._forbid_building(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            block_rng(3, 1, skip)
+        assert str(exc.value) == f"skip must be an integer >= 0, got {skip!r}"
+
+    def test_numpy_integers_accepted(self):
+        want = block_rng(3, 1, skip=5).random(4)
+        assert block_rng(np.uint64(3), np.int64(1), skip=np.int64(5)).random(4) == pytest.approx(want, abs=0.0)
+        assert block_rng(3, np.uint64(1), skip=np.uint64(5)).random(4) == pytest.approx(want, abs=0.0)
+
+    def test_largest_substream_draws(self):
+        assert block_rng(3, 2**64 - 1).random() == block_rng(3, np.uint64(2**64 - 1)).random()

@@ -25,6 +25,7 @@ from hardybox.behavior import (
     correlation_vector,
     is_no_signaling,
     is_normalized,
+    json_text,
 )
 from hardybox.bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, quadruple_for
 from hardybox.locality import constraint_residuals
@@ -452,6 +453,32 @@ class TestOptimizerConfig:
     def test_integer_tolerance_accepted(self):
         cfg = OptimizerConfig.from_json_dict({"constraint_tol": 1})
         assert cfg.constraint_tol == 1.0 and isinstance(cfg.constraint_tol, float)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        cfg = OptimizerConfig(starts=np.int64(8), seed=np.uint64(3))
+        assert cfg == OptimizerConfig(starts=8, seed=3)
+        assert type(cfg.starts) is int and type(cfg.seed) is int
+        assert json_text(cfg.to_json_dict()) == json_text(OptimizerConfig(starts=8, seed=3).to_json_dict())
+
+    @pytest.mark.parametrize(
+        "field, value, what",
+        [
+            ("starts", np.True_, "starts must be an integer in 1..4096"),
+            ("starts", True, "starts must be an integer in 1..4096"),
+            ("starts", 8.0, "starts must be an integer in 1..4096"),
+            ("starts", 0, "starts must be an integer in 1..4096"),
+            ("starts", 4097, "starts must be an integer in 1..4096"),
+            ("seed", -1, "seed must be an integer >= 0"),
+            ("seed", np.int64(-1), "seed must be an integer >= 0"),
+            ("seed", False, "seed must be an integer >= 0"),
+            ("seed", 1.0, "seed must be an integer >= 0"),
+        ],
+    )
+    def test_refused_integers_keep_their_message(self, field, value, what):
+        with pytest.raises(SchemaError) as exc:
+            OptimizerConfig(**{field: value})
+        assert exc.value.field_name == field
+        assert str(exc.value) == f"{what}, got {value!r}"
 
 
 class TestConstants:
@@ -1116,6 +1143,13 @@ class TestSigmaSearch:
         forbid_drawing(monkeypatch)
         with pytest.raises(ValueError, match=r"^sigma index must be 1\.\.4, got "):
             maximize_sigma(index, SMALL_CFG)
+
+    @pytest.mark.parametrize("index", [0, 5, 2.0, True])
+    def test_index_message_unchanged(self, monkeypatch, index):
+        forbid_drawing(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            maximize_sigma(index, SMALL_CFG)
+        assert str(exc.value) == f"sigma index must be 1..4, got {index!r}"
 
     def test_numpy_index_stored_as_int(self):
         opt = maximize_sigma(np.int64(2), SMALL_CFG)
