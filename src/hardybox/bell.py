@@ -53,7 +53,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .behavior import DEFAULT_TOL, Behavior, index_of, is_no_signaling, is_normalized, record_to_json
+from .behavior import DEFAULT_TOL, Behavior, as_int, index_of, is_no_signaling, is_normalized, record_to_json
 from .locality import SIGMA_PRIME_SUPPORTS, SIGMA_SUPPORTS, FreeSetId, completion_signs
 
 @dataclass(frozen=True)
@@ -153,9 +153,10 @@ def enumerate_hardy_inequalities() -> tuple[HardyQuadruple, ...]:
 
 
 def quadruple_for(family: int, j: int) -> HardyQuadruple:
+    """The quadruple of ``(family, j)``, each a Python or numpy integer (not a bool)."""
     try:
-        return _BY_FAMILY_J[(family, j)]
-    except KeyError:
+        return _BY_FAMILY_J[(as_int(family, 1, 8, "family"), as_int(j, 1, 16, "j"))]
+    except (KeyError, ValueError):
         raise ValueError(f"no inequality with family={family} and j={j}") from None
 
 

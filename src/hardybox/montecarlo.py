@@ -57,9 +57,12 @@ upper bound of a cell quadruple into asymptotic one-sided z-tests (whose
 size exceeds alpha at small n; see its docstring); `test_signaling` runs
 the eight two-proportion marginal comparisons matching the signaling rows
 of the constraint system, Bonferroni-corrected.  A test that reads an empty
-block is inconclusive, with NaN z-scores.  Normal quantiles and tails come
-from the standard library (`statistics.NormalDist`, `math.erfc`), so this
-module needs only numpy.
+block is inconclusive, with NaN z-scores.  Per-call overhead sets the cost
+of a 500-trial experiment, so both tests fill their frozen records'
+``__dict__`` without the constructor (the records are equal), `test_signaling`
+reads one table, `_SIGNAL_CELLS`, and `_seek` builds its state from Python
+ints.  Normal quantiles and tails come from the standard library
+(`statistics.NormalDist`, `math.erfc`), so this module needs only numpy.
 """
 
 from __future__ import annotations
@@ -128,18 +131,17 @@ def _seek(bg: np.random.Philox, seed: int, substream: int, skip: int = 0) -> np.
 
     Afterwards ``bg`` stands where a new ``Philox(key=[seed, substream])``
     stands after ``skip`` doubles; re-keying through ``state`` costs about a
-    fifth of building a Philox, which seeds a `SeedSequence` first.  Philox
+    fifth of building a Philox, which seeds a `SeedSequence` first.  The state
+    is built from Python ints, which the setter reads word by word as uint64
+    (three numpy arrays would cost more than the rest of the seek).  Philox
     advances in 4-word counter blocks; a double consumes one 64-bit word, so
     skipping means advancing ``skip // 4`` blocks and discarding ``skip % 4``
     raw words.
     """
     bg.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed, substream], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, substream)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -532,7 +534,7 @@ def simulate(
     return TrialLog._of_codes(ids)
 
 
-def _wilson_stderr(x: np.ndarray, n: int) -> np.ndarray:
+def _wilson_stderr(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     # centered binomial stderr; strictly positive even at x = 0 or x = n
     p = x / n
     return np.sqrt(p * (1.0 - p) / n + 0.25 / (n * n)) / (1.0 + 1.0 / n)
@@ -561,19 +563,15 @@ class SampleStats:
         if c.dtype != np.int64 or c.shape != (4, 4) or (c < 0).any():
             raise ValueError("counts must be a 4x4 table of nonnegative integers")
         per_block = c.sum(axis=1)
-        freq = np.zeros(16)
-        err = np.full(16, math.inf)
-        for g in range(4):
-            n_g = int(per_block[g])
-            if n_g == 0:
-                continue
-            freq[4 * g : 4 * g + 4] = c[g] / n_g
-            err[4 * g : 4 * g + 4] = _wilson_stderr(c[g], n_g)
+        live = per_block[:, None] > 0
+        # float64 totals are exact below 2**53 (an int64 n * n wraps above
+        # 3.04e9); an empty block divides by 1, and its cells are replaced
+        n = np.maximum(per_block, 1).astype(float)[:, None]
         return SampleStats(
-            counts=tuple(tuple(int(v) for v in row) for row in c),
-            trials_per_block=tuple(int(v) for v in per_block),
-            freq=tuple(float(v) for v in freq),
-            stderr=tuple(float(v) for v in err),
+            counts=tuple(map(tuple, c.tolist())),
+            trials_per_block=tuple(per_block.tolist()),
+            freq=tuple(np.where(live, c / n, 0.0).ravel().tolist()),
+            stderr=tuple(np.where(live, _wilson_stderr(c, n), math.inf).ravel().tolist()),
         )
 
     def p_hat(self, cell: int) -> float:
@@ -653,26 +651,30 @@ def test_inequality(
     n = 2,000 (1.18%) and 52 of 5,000 at n = 20,000 (1.04%).
     """
     check_alpha(alpha)
-    cells = q.cells()
-    blocks = {(c - 1) // 4 for c in cells}
-    if blocks != {0, 1, 2, 3}:  # so each cell is in 1..16, and indexes the tables directly
+    j, k, l, m = q.j - 1, q.k - 1, q.l - 1, q.m - 1
+    if {j // 4, k // 4, l // 4, m // 4} != {0, 1, 2, 3}:  # so each indexes the tables directly
         raise AssertionError("quadruple cells must span all four blocks")
     inconclusive = min(stats.trials_per_block) == 0
     if inconclusive:
         lower = upper = math.nan
         se = math.inf
     else:
-        pj, pk, pl, pm = (stats.freq[c - 1] for c in cells)
-        se = math.sqrt(sum(stats.stderr[c - 1] ** 2 for c in cells))
-        lower = (pk + pl + pm) - pj
-        upper = 1.0 + pj - (pk + pl + pm)
+        f, e = stats.freq, stats.stderr
+        klm = f[k] + f[l] + f[m]
+        # the order of sum() over the four cells; its start 0 + e[j] ** 2 is exact
+        se = math.sqrt(e[j] ** 2 + e[k] ** 2 + e[l] ** 2 + e[m] ** 2)
+        lower = klm - f[j]
+        upper = 1.0 + f[j] - klm
     z_lower, z_upper = lower / se, upper / se
     z_alpha = _z_alpha(alpha)
-    return InequalityTestResult(
+    # filled like `bell.hardy_check`'s records: equal to the constructor's
+    res = object.__new__(InequalityTestResult)
+    res.__dict__.update(
         quadruple=q, alpha=alpha, lower_slack=lower, upper_slack=upper, stderr=se,
         z_lower=z_lower, z_upper=z_upper, violated_lower=z_lower < -z_alpha,
         violated_upper=z_upper < -z_alpha, inconclusive=inconclusive,
     )
+    return res
 
 
 @dataclass(frozen=True)
@@ -718,20 +720,24 @@ class SignalingReport:
         }
 
 
+#: each `SIGNALING_ROWS` row as (party, setting, outcome, then for far
+#: settings 1 and 2 the marginal's two 0-based cells and their block)
+_SIGNAL_CELLS = tuple(
+    (party, setting, outcome, i1 - 1, j1 - 1, (i1 - 1) // 4, i2 - 1, j2 - 1, (i2 - 1) // 4)
+    for party, setting, outcome, (i1, j1), (i2, j2) in SIGNALING_ROWS
+)
+
+
 def test_signaling(stats: SampleStats, alpha: float = 0.01) -> SignalingReport:
     """Two-proportion pooled z-tests for all eight marginal comparisons."""
     check_alpha(alpha)
     rows = []
     threshold = alpha / 8.0
     counts = [x for row in stats.counts for x in row]
-
-    def marginal(cells: tuple[int, int]) -> tuple[int, int]:
-        # count of the marginal outcome, trials of the block holding both cells
-        return sum(counts[c - 1] for c in cells), stats.trials_per_block[(cells[0] - 1) // 4]
-
-    for party, setting, outcome, far1, far2 in SIGNALING_ROWS:
-        x1, n1 = marginal(far1)
-        x2, n2 = marginal(far2)
+    per_block = stats.trials_per_block
+    for party, setting, outcome, i1, j1, g1, i2, j2, g2 in _SIGNAL_CELLS:
+        x1, n1 = counts[i1] + counts[j1], per_block[g1]
+        x2, n2 = counts[i2] + counts[j2], per_block[g2]
         inconclusive = n1 == 0 or n2 == 0
         if inconclusive:
             z = math.nan
@@ -740,5 +746,10 @@ def test_signaling(stats: SampleStats, alpha: float = 0.01) -> SignalingReport:
             var = pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)
             z = 0.0 if var == 0.0 else (x1 / n1 - x2 / n2) / math.sqrt(var)
         p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail, 1.0 at z = 0
-        rows.append(SignalingTestRow(party, setting, outcome, z, p, p < threshold, inconclusive))
+        row = object.__new__(SignalingTestRow)
+        row.__dict__.update(
+            party=party, setting=setting, outcome=outcome, z=z, p_value=p,
+            significant=p < threshold, inconclusive=inconclusive,
+        )
+        rows.append(row)
     return SignalingReport(rows=tuple(rows), alpha=alpha)

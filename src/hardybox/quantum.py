@@ -52,7 +52,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -244,7 +244,8 @@ class OptimizerConfig:
     ``starts`` uniform random points (1..`MAX_STARTS`), drawn by
     ``numpy.random.default_rng(seed)``, each start one descent, which counts
     when its constrained cells are at most ``constraint_tol``.  ``starts`` and
-    ``seed`` take numpy integers too, not bools; fields are stored as Python types.
+    ``seed`` take numpy integers too, ``constraint_tol`` any real number (a
+    numpy one too), none a bool; fields are stored as Python types.
     ``real_mode`` restricts amplitudes and directions to the x-z plane
     (phases zero), which is enough for every extremum this package targets
     and roughly halves the search dimension; ``product_mode`` restricts the
@@ -266,7 +267,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         rules = {  # field: (accepted types, stored as, range check, what the error asks for)
             "starts": (Integral, int, lambda v: 1 <= v <= MAX_STARTS, f"an integer in 1..{MAX_STARTS}"),
-            "constraint_tol": ((int, float), float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+            "constraint_tol": (Real, float, lambda v: 0 < v < math.inf, "a finite number > 0"),
             "seed": (Integral, int, lambda v: v >= 0, "an integer >= 0"),
             "real_mode": (bool, bool, lambda v: True, "true or false"),
             "product_mode": (bool, bool, lambda v: True, "true or false"),

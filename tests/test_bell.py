@@ -133,6 +133,22 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             quadruple_for(9, 1)
 
+    @pytest.mark.parametrize(
+        "family, j", [(np.int64(1), 13), (1, np.int64(13)), (np.uint8(1), np.int32(13))]
+    )
+    def test_quadruple_for_takes_numpy_integers(self, family, j):
+        assert quadruple_for(family, j) is quadruple_for(1, 13)
+
+    @pytest.mark.parametrize(
+        "family, j",
+        [(True, 13), (1.0, 13), (np.True_, 13), (1, 13.0), (1, np.float64(13)), ("1", 13), (None, 13)],
+    )
+    def test_quadruple_for_refuses_bools_and_floats(self, family, j):
+        # equal and hashing like 1, these once looked up family 1's quadruple
+        with pytest.raises(ValueError) as exc:
+            quadruple_for(family, j)
+        assert str(exc.value) == f"no inequality with family={family} and j={j}"
+
     def test_text_form(self):
         assert str(quadruple_for(1, 13)) == "p13 <= p4 + p5 + p9 <= 1 + p13"
 

@@ -11,7 +11,9 @@ The files under ``tests/data/cli`` are the stdout of the commands in
 Every number in them is a dyadic rational or a literal of `hardybox.boxes`
 or of the command line, so no difference in summation order or libm rounding
 between platforms can change them; `simulate`'s trials come from the pinned
-Philox streams.
+Philox streams.  The one exception is ``simulate_calibration.json``: its
+frequencies, standard errors and z-scores are IEEE divisions and square
+roots, but its signaling p-values come from the C library's ``erfc``.
 
 `json_text` writes every document; `json.dumps(value, indent=2,
 allow_nan=False)` is its oracle here.
@@ -281,6 +283,10 @@ GOLDEN = {
     # two trials: blocks (1,1) and (1,2) empty, the two A2 rows of zero pooled variance
     "simulate_empty_blocks.json": [
         "simulate", "--box", "mermin", "--n", "2", "--seed", "1", "--quadruple", "1:13",
+    ],
+    # the size of one calibration experiment: every block full, the tests conclusive
+    "simulate_calibration.json": [
+        "simulate", "--box", "mermin", "--n", "500", "--seed", "7", "--quadruple", "3:6", "--alpha", "0.01",
     ],
 }
 

@@ -6,6 +6,7 @@ any change to the substream scheme or the skip rule breaks them.
 
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -26,16 +27,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardybox import montecarlo
-from hardybox.behavior import Behavior, uniform_behavior
-from hardybox.bell import HardyQuadruple, quadruple_for
+from hardybox.behavior import SIGNALING_ROWS, Behavior, uniform_behavior
+from hardybox.bell import HARDY_QUADRUPLES, HardyQuadruple, quadruple_for
 from hardybox.boxes import kwiat_hardy_box, mermin_box, pr_box
 from hardybox.montecarlo import (
     MAX_TRIALS,
     SETTINGS_SUBSTREAM,
+    InequalityTestResult,
     SampleStats,
+    SignalingReport,
+    SignalingTestRow,
     TrialLog,
     TrialRecord,
+    _z_alpha,
     block_rng,
+    check_alpha,
     estimate,
     settings_sequence,
     simulate,
@@ -76,6 +82,16 @@ class TestStreams:
             full = block_rng(99, 2).random(k + 8)
             skipped = block_rng(99, 2, skip=k).random(8)
             assert skipped == pytest.approx(full[k:], abs=0.0)
+
+    @pytest.mark.parametrize("seed, substream", [(0, 0), (2024, 4), (2**63, 3), (2**64 - 1, 2**64 - 1)])
+    @pytest.mark.parametrize("skip", [0, 1, 6, 8])
+    def test_seek_stands_where_a_new_philox_stands(self, seed, substream, skip):
+        bg = np.random.Philox(5)
+        bg.random_raw(3)  # a part-used buffer, which re-keying must drop
+        montecarlo._seek(bg, seed, substream, skip)
+        fresh = np.random.Philox(key=np.array([seed, substream], dtype=np.uint64))
+        fresh.random_raw(skip)
+        assert bg.random_raw(9).tolist() == fresh.random_raw(9).tolist()
 
     def test_settings_sequence_pinned(self):
         assert settings_sequence(12, 2024).tolist() == PINNED_UNIFORM_IDS
@@ -1157,3 +1173,140 @@ class TestBlockRngArguments:
 
     def test_largest_substream_draws(self):
         assert block_rng(3, 2**64 - 1).random() == block_rng(3, np.uint64(2**64 - 1)).random()
+
+
+def _reference_wilson_stderr(x: np.ndarray, n: int) -> np.ndarray:
+    # centered binomial stderr; strictly positive even at x = 0 or x = n
+    p = x / n
+    return np.sqrt(p * (1.0 - p) / n + 0.25 / (n * n)) / (1.0 + 1.0 / n)
+
+
+def _reference_from_counts(counts) -> SampleStats:
+    """`SampleStats.from_counts` as a loop over the four blocks, verbatim."""
+    c = np.asarray(counts)
+    if c.dtype.kind in "iu":  # a uint64 count past 2**63 wraps negative and is refused
+        c = c.astype(np.int64, copy=False)
+    if c.dtype != np.int64 or c.shape != (4, 4) or (c < 0).any():
+        raise ValueError("counts must be a 4x4 table of nonnegative integers")
+    per_block = c.sum(axis=1)
+    freq = np.zeros(16)
+    err = np.full(16, math.inf)
+    for g in range(4):
+        n_g = int(per_block[g])
+        if n_g == 0:
+            continue
+        freq[4 * g : 4 * g + 4] = c[g] / n_g
+        err[4 * g : 4 * g + 4] = _reference_wilson_stderr(c[g], n_g)
+    return SampleStats(
+        counts=tuple(tuple(int(v) for v in row) for row in c),
+        trials_per_block=tuple(int(v) for v in per_block),
+        freq=tuple(float(v) for v in freq),
+        stderr=tuple(float(v) for v in err),
+    )
+
+
+def _reference_test_inequality(
+    stats: SampleStats, q: HardyQuadruple, alpha: float = 0.01
+) -> InequalityTestResult:
+    """`test_inequality` through the record's constructor, verbatim."""
+    check_alpha(alpha)
+    cells = q.cells()
+    blocks = {(c - 1) // 4 for c in cells}
+    if blocks != {0, 1, 2, 3}:  # so each cell is in 1..16, and indexes the tables directly
+        raise AssertionError("quadruple cells must span all four blocks")
+    inconclusive = min(stats.trials_per_block) == 0
+    if inconclusive:
+        lower = upper = math.nan
+        se = math.inf
+    else:
+        pj, pk, pl, pm = (stats.freq[c - 1] for c in cells)
+        se = math.sqrt(sum(stats.stderr[c - 1] ** 2 for c in cells))
+        lower = (pk + pl + pm) - pj
+        upper = 1.0 + pj - (pk + pl + pm)
+    z_lower, z_upper = lower / se, upper / se
+    z_alpha = _z_alpha(alpha)
+    return InequalityTestResult(
+        quadruple=q, alpha=alpha, lower_slack=lower, upper_slack=upper, stderr=se,
+        z_lower=z_lower, z_upper=z_upper, violated_lower=z_lower < -z_alpha,
+        violated_upper=z_upper < -z_alpha, inconclusive=inconclusive,
+    )
+
+
+def _reference_test_signaling(stats: SampleStats, alpha: float = 0.01) -> SignalingReport:
+    """`test_signaling` over `SIGNALING_ROWS` through the row's constructor, verbatim."""
+    check_alpha(alpha)
+    rows = []
+    threshold = alpha / 8.0
+    counts = [x for row in stats.counts for x in row]
+
+    def marginal(cells: tuple[int, int]) -> tuple[int, int]:
+        # count of the marginal outcome, trials of the block holding both cells
+        return sum(counts[c - 1] for c in cells), stats.trials_per_block[(cells[0] - 1) // 4]
+
+    for party, setting, outcome, far1, far2 in SIGNALING_ROWS:
+        x1, n1 = marginal(far1)
+        x2, n2 = marginal(far2)
+        inconclusive = n1 == 0 or n2 == 0
+        if inconclusive:
+            z = math.nan
+        else:
+            pooled = (x1 + x2) / (n1 + n2)
+            var = pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)
+            z = 0.0 if var == 0.0 else (x1 / n1 - x2 / n2) / math.sqrt(var)
+        p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail, 1.0 at z = 0
+        rows.append(SignalingTestRow(party, setting, outcome, z, p, p < threshold, inconclusive))
+    return SignalingReport(rows=tuple(rows), alpha=alpha)
+
+
+def _random_tables(seed: int, count: int) -> list[np.ndarray]:
+    """Seeded 4x4 count tables: each block's total drawn below 2**e for e in
+    0..50, some blocks empty, some cells zero, plus the 2**50 edges."""
+    rng = np.random.default_rng(seed)
+    tables = [np.full((4, 4), 2**48, dtype=np.int64), np.diag(np.full(4, 2**50, dtype=np.int64))]
+    for _ in range(count):
+        c = np.zeros((4, 4), dtype=np.int64)
+        for g in range(4):
+            total = int(rng.integers(0, 2 ** int(rng.integers(0, 51)), endpoint=True))
+            c[g] = rng.multinomial(total, rng.dirichlet(np.ones(4)) * (rng.random(4) < 0.8) + 1e-300)
+        if rng.random() < 0.25:
+            c[rng.integers(4)] = 0
+        tables.append(c)
+    return tables
+
+
+class TestSameRecordsAsTheLoops:
+    """`from_counts`, `test_inequality` and `test_signaling` give the reprs of
+    the loops above, bit for bit (reprs, since NaN fields defeat ``==``)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_records_equal_the_loops(self, seed):
+        for t, c in enumerate(_random_tables(seed, 40)):
+            assert c.sum(axis=1).max() <= 2**50
+            table = c if t % 2 else c.tolist()
+            stats = SampleStats.from_counts(table)
+            assert repr(stats) == repr(_reference_from_counts(table)), c.tolist()
+            for alpha in (0.01, 1e-6, 0.3):
+                for q in HARDY_QUADRUPLES:
+                    got = run_inequality_test(stats, q, alpha)
+                    assert repr(got) == repr(_reference_test_inequality(stats, q, alpha)), (c.tolist(), q)
+                got = run_signaling_test(stats, alpha)
+                assert repr(got) == repr(_reference_test_signaling(stats, alpha)), c.tolist()
+
+    def test_tables_cover_empty_blocks_and_large_totals(self):
+        totals = np.concatenate([c.sum(axis=1) for s in (0, 1, 2) for c in _random_tables(s, 40)])
+        assert (totals == 0).any() and (totals == 2**50).any() and ((totals > 2**40) & (totals < 2**50)).any()
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_filled_records_equal_the_constructors(self, empty):
+        counts = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
+        if empty:
+            counts[1] = [0, 0, 0, 0]
+        stats = SampleStats.from_counts(counts)
+        records = [run_inequality_test(stats, q) for q in HARDY_QUADRUPLES]
+        records += run_signaling_test(stats).rows
+        for got in records:
+            built = type(got)(**{f.name: getattr(got, f.name) for f in dataclasses.fields(got)})
+            assert got == built and hash(got) == hash(built)
+            assert got.to_json_dict() == built.to_json_dict()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.inconclusive = not got.inconclusive

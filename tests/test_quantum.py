@@ -454,6 +454,18 @@ class TestOptimizerConfig:
         cfg = OptimizerConfig.from_json_dict({"constraint_tol": 1})
         assert cfg.constraint_tol == 1.0 and isinstance(cfg.constraint_tol, float)
 
+    def test_numpy_integer_tolerance_accepted(self):
+        cfg = OptimizerConfig(constraint_tol=np.int64(1))
+        assert cfg == OptimizerConfig(constraint_tol=1.0)
+        assert type(cfg.constraint_tol) is float
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bool_tolerance_refused(self, value):
+        with pytest.raises(SchemaError) as exc:
+            OptimizerConfig(constraint_tol=value)
+        assert exc.value.field_name == "constraint_tol"
+        assert str(exc.value) == f"constraint_tol must be a finite number > 0, got {value!r}"
+
     def test_numpy_integers_stored_as_python_ints(self):
         cfg = OptimizerConfig(starts=np.int64(8), seed=np.uint64(3))
         assert cfg == OptimizerConfig(starts=8, seed=3)
