@@ -235,7 +235,10 @@ def correlation_vector(b: Behavior) -> CorrelationVector:
 def as_int(value: object, lo: int, hi: float, what: str) -> int:
     """``int(value)``, for callers to go on with, if ``value`` is a Python or numpy
     integer (not a bool) in ``lo..hi``; else ``ValueError(f"{what}, got {value!r}")``."""
-    if isinstance(value, Integral) and not isinstance(value, bool) and lo <= int(value) <= hi:
+    if value.__class__ is int:  # the common case, already what callers go on with
+        if lo <= value <= hi:
+            return value
+    elif isinstance(value, Integral) and not isinstance(value, bool) and lo <= int(value) <= hi:
         return int(value)
     raise ValueError(f"{what}, got {value!r}")
 

@@ -1,5 +1,6 @@
 """Cell indexing, behavior validation, marginals and JSON round-trips."""
 
+import enum
 import json
 import math
 from fractions import Fraction
@@ -289,17 +290,26 @@ def test_default_tol_value():
     assert DEFAULT_TOL == 1e-9
 
 
+class _Small(enum.IntEnum):
+    # an int subclass: not an exact int, so it takes the general path
+    SEVEN = 7
+    EIGHT = 8
+
+
 class TestAsInt:
     """The one rule for integer arguments: Python or numpy integers, not bools."""
 
-    @pytest.mark.parametrize("value", [0, 7, np.int8(7), np.int64(3), np.uint64(7)])
+    @pytest.mark.parametrize("value", [0, 7, np.int8(7), np.int64(3), np.uint64(7), pytest.param(_Small.SEVEN, id="int_enum")])
     def test_integers_in_range_come_back_as_python_ints(self, value):
         got = as_int(value, 0, 7, "x must be 0..7")
         assert type(got) is int and got == int(value)
 
     @pytest.mark.parametrize(
         "value",
-        [True, False, np.True_, np.False_, 7.0, 3.5, "7", None, -1, 8, np.int64(-1), np.uint64(2**64 - 1)],
+        [
+            True, False, np.True_, np.False_, 7.0, 3.5, "7", None, -1, 8, np.int64(-1), np.uint64(2**64 - 1),
+            1.0, 2**100, -(2**100), pytest.param(_Small.EIGHT, id="int_enum"),
+        ],
     )
     def test_everything_else_refused_naming_the_value(self, value):
         with pytest.raises(ValueError) as exc:

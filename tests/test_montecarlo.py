@@ -208,6 +208,8 @@ class TestSimulate:
 
         monkeypatch.setattr(montecarlo, "settings_sequence", no_draw)
         monkeypatch.setattr(montecarlo, "block_rng", no_draw)
+        # every `simulate` draw takes its generators here first
+        monkeypatch.setattr(montecarlo, "_take_generators", no_draw)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 7.0, True, "7", None])
     def test_bad_seed_rejected_before_drawing(self, monkeypatch, seed):
@@ -257,6 +259,12 @@ class TestEstimate:
         assert stats.p_hat(1) == pytest.approx(1 / 3)
         assert stats.p_hat(2) == pytest.approx(2 / 3)
         assert stats.p_hat(16) == 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, montecarlo._PIECE, montecarlo._PIECE + 1, 2 * montecarlo._PIECE + 3])
+    def test_counts_equal_one_bincount_at_piece_bounds(self, n):
+        codes = np.random.default_rng(n).integers(0, 16, size=n, dtype=np.uint8)
+        stats = estimate(TrialLog._of_codes(codes))
+        assert stats.counts == tuple(map(tuple, np.bincount(codes, minlength=16).reshape(4, 4).tolist()))
 
     def test_cell_index_range(self):
         stats = SampleStats.from_counts([[1, 2, 3, 4]] * 4)
@@ -347,7 +355,9 @@ class TestInequalityTest:
         assert res.inconclusive is True
         assert not res.violated
 
-    @pytest.mark.parametrize("cells", [(0, 5, 9, 13), (1, 5, 9, 17), (-3, 5, 9, 13), (1, 2, 9, 13)])
+    @pytest.mark.parametrize(
+        "cells", [(0, 5, 9, 13), (1, 5, 9, 17), (-3, 5, 9, 13), (1, 2, 9, 13), (1, 5, 9, 2**70), (-(2**70), 5, 9, 13)]
+    )
     def test_cells_outside_the_four_blocks_rejected(self, cells):
         # cell 0 or -3 would index from the end of the frequency table
         stats = SampleStats.from_counts([[1, 2, 3, 4]] * 4)
@@ -1073,6 +1083,81 @@ class TestThreads:
         z = NormalDist().inv_cdf(1.0 - 0.01)
         assert montecarlo._z_alpha(0.01) == z
         assert result.violated_lower == (result.z_lower < -z)
+
+
+class TestGeneratorPool:
+    """`simulate` re-keys pooled generators; no call sees another's state."""
+
+    @pytest.mark.parametrize("shards", [1, 16])
+    def test_warm_call_builds_no_philox(self, monkeypatch, shards):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        want = _reference_simulate(mermin_box(), 50_000, 8, "uniform", shards)
+        simulate(mermin_box(), 50_000, 8, n_shards=shards)
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        assert simulate(mermin_box(), 50_000, 8, n_shards=shards) == want
+        assert built == []
+
+    def test_interleaved_calls_draw_the_serial_loops_logs(self, monkeypatch):
+        cases = [
+            (box, n, seed, policy, shards)
+            for box in (mermin_box, pr_box, kwiat_hardy_box)
+            for n in (0, 1, 7, 500, 2**18 + 1)
+            for seed in (0, 2**64 - 1)
+            for policy in ("uniform", "roundrobin")
+            for shards in (1, 16)
+        ]
+        want = {case: _reference_simulate(case[0](), *case[1:]).code.tobytes() for case in cases}
+        order = [(case, cpus) for case in cases for cpus in (1, 2, 5)]
+        for i in np.random.default_rng(30).permutation(len(order)):
+            (box, *args), cpus = order[i]
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda c=cpus: c)
+            got = simulate(box(), *args).code.tobytes()
+            assert got == want[(box, *args)], (box.__name__, *args, cpus)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_a_refused_call_leaves_the_next_log_unchanged(self, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        want = _reference_simulate(mermin_box(), 10_000, 3, "uniform", 16)
+        simulate(mermin_box(), 10_000, 3, n_shards=16)
+        idle = len(montecarlo._GENERATORS)
+        with pytest.raises(ValueError, match="zero total probability"):
+            simulate(_zero_blocks_box(), 10_000, 3, n_shards=16)
+        assert len(montecarlo._GENERATORS) == idle  # every generator taken went back
+        assert simulate(mermin_box(), 10_000, 3, n_shards=16) == want
+
+    def test_concurrent_callers_each_draw_the_serial_loops_log(self, monkeypatch):
+        # more drawing threads than cores, switching often: a generator held
+        # by two calls at once would change a log
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        seeds = {name: range(first, first + 6) for name, first in (("a", 100), ("b", 200))}
+        want = {seed: _reference_simulate(kwiat_hardy_box(), 100_000, seed, "uniform", 5) for s in seeds.values() for seed in s}
+        got = {}
+        start = threading.Barrier(2)
+
+        def caller(name: str) -> None:
+            start.wait(timeout=10)
+            for seed in seeds[name]:
+                got[seed] = simulate(kwiat_hardy_box(), 100_000, seed, n_shards=5 if seed % 2 else 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(name,)) for name in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
 
 class TestIntegerArguments:
