@@ -8,12 +8,20 @@ the CHSH and CH forms, searches two-qubit quantum models for extremal
 values, and simulates trial-level data with reproducible counter-based
 streams.  See the command-line entry point ``hardybox`` for the same
 functionality on JSON files.
+
+``import hardybox`` loads `behavior`, `bell`, `boxes` and `locality`.  The
+simulator, `montecarlo`, and the quantum searches, `quantum`, load on first
+use: the first access to one of their public names through the package, or
+an import of the submodule, imports it (PEP 562).  ``hardybox check``,
+``enumerate``, ``complete`` and ``examples`` load neither, and ``simulate``
+loads no `quantum`.
 """
 
 from .behavior import (
     DEFAULT_TOL,
     OUTCOME_ORDER,
     Behavior,
+    ConvergenceError,
     CorrelationVector,
     Marginals,
     Party,
@@ -91,46 +99,42 @@ from .locality import (
     random_no_signaling_behavior,
     system_rank,
 )
-from .montecarlo import (
-    SETTINGS_SUBSTREAM,
-    InequalityTestResult,
-    SampleStats,
-    SignalingReport,
-    SignalingTestRow,
-    TrialLog,
-    TrialRecord,
-    block_rng,
-    estimate,
-    settings_sequence,
-    simulate,
-    test_inequality,
-    test_signaling,
-)
-from .quantum import (
-    HARDY_MAX_PROBABILITY,
-    SIGMA_QUANTUM_MAX,
-    SIGMA_QUANTUM_MIN,
-    BlochDirection,
-    ConvergenceError,
-    HardyOptimum,
-    MeasurementSettings,
-    OptimizerConfig,
-    PerfectCorrelationReport,
-    SearchDiagnostics,
-    SigmaOptimum,
-    TwoQubitState,
-    all_z_settings,
-    born_behavior,
-    maximize_hardy,
-    maximize_sigma,
-    singlet,
-    singlet_perfect_correlation_check,
-)
+
+#: the public names of `montecarlo` and `quantum`, in `__all__` order, each
+#: with the submodule `__getattr__` imports it from.  `ConvergenceError`,
+#: which `quantum` raises, is defined in `behavior` and bound above.
+_LAZY = dict.fromkeys((
+    "SETTINGS_SUBSTREAM", "InequalityTestResult", "SampleStats", "SignalingReport",
+    "SignalingTestRow", "TrialLog", "TrialRecord", "block_rng", "estimate",
+    "settings_sequence", "simulate", "test_inequality", "test_signaling",
+), "montecarlo") | dict.fromkeys((
+    "HARDY_MAX_PROBABILITY", "SIGMA_QUANTUM_MAX", "SIGMA_QUANTUM_MIN", "BlochDirection",
+    "ConvergenceError", "HardyOptimum", "MeasurementSettings", "OptimizerConfig",
+    "PerfectCorrelationReport", "SearchDiagnostics", "SigmaOptimum", "TwoQubitState",
+    "all_z_settings", "born_behavior", "maximize_hardy", "maximize_sigma", "singlet",
+    "singlet_perfect_correlation_check",
+), "quantum")
 
 __version__ = "0.1.0"
 
-#: every imported public name; the submodules, bound here too, are left out
+#: every public name: the imported ones, then those loaded on first use; the
+#: submodules, bound here too, are left out
 __all__ = ["__version__"] + [
     name for name, value in globals().items()
-    if not name.startswith("_") and type(value) is not type(behavior)
-]
+    if not name.startswith("_") and name not in _LAZY and type(value) is not type(behavior)
+] + list(_LAZY)
+
+
+def __getattr__(name: str) -> object:
+    """A public name of `montecarlo` or `quantum`, from that submodule, which
+    this first access imports; the name is then bound here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module("." + _LAZY[name], __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -251,6 +251,13 @@ class SchemaError(ValueError):
         self.field_name = field_name
 
 
+class ConvergenceError(RuntimeError):
+    """A search did not reach the requested constraint tolerance.
+
+    Raised by `hardybox.quantum`; defined here so that the command line can
+    catch it without importing the searches."""
+
+
 def to_json(value: object) -> object:
     """``value`` as JSON data: a record through its ``to_json_dict``, a tuple or
     list as an array, a complex number as ``[re, im]``, an enum as its value,

@@ -4,6 +4,9 @@ Machine-readable JSON goes to stdout, prose to stderr.  Each document is
 the bytes of ``json.dumps(doc, indent=2, allow_nan=False)`` and a newline,
 written by one writer, `hardybox.behavior.json_text`.  `main` builds its
 parser on the first call and reuses it for the rest of the process.
+`simulate` imports `hardybox.montecarlo` and the searches import
+`hardybox.quantum` when they run, so `check`, `enumerate`, `complete` and
+`examples` load neither.
 
 Exit codes: 0 on success, 1 when a strict check fails or a search does not
 converge (or scipy, which only the searches need, is missing), 2 on
@@ -32,9 +35,11 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .behavior import (
     Behavior,
+    ConvergenceError,
     SchemaError,
     behavior_to_json_dict,
     check_cell_value,
@@ -60,16 +65,9 @@ from .bell import (
 )
 from .boxes import available_boxes, load_box
 from .locality import FreeSetId, complete_from_free_set, constraint_residuals
-from .montecarlo import check_alpha, estimate, simulate, test_inequality, test_signaling
-from .quantum import (
-    ConvergenceError,
-    OptimizerConfig,
-    SIGMA_QUANTUM_MAX,
-    SIGMA_QUANTUM_MIN,
-    maximize_hardy,
-    maximize_sigma,
-    singlet,
-)
+
+if TYPE_CHECKING:  # the commands import the searches and the simulator when they run
+    from .quantum import OptimizerConfig
 
 #: exit status when stdout is closed early: 128 + SIGPIPE, what a shell
 #: reports for a process that the signal ends
@@ -116,6 +114,8 @@ def _tolerance(text: str) -> float:
 
 
 def _load_config(path: str | None) -> OptimizerConfig:
+    from .quantum import OptimizerConfig
+
     if path is None:
         return OptimizerConfig()
     data = Path(path).read_bytes()
@@ -212,6 +212,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_quantum_max(args: argparse.Namespace) -> int:
+    from .quantum import maximize_hardy, singlet
+
     q = _parse_quadruple(args.quadruple)
     cfg = _load_config(args.config)
     fixed = singlet() if args.singlet_only else None
@@ -226,6 +228,8 @@ def cmd_quantum_max(args: argparse.Namespace) -> int:
 
 
 def cmd_tsirelson(args: argparse.Namespace) -> int:
+    from .quantum import SIGMA_QUANTUM_MAX, SIGMA_QUANTUM_MIN, maximize_sigma
+
     cfg = _load_config(args.config)
     opt = maximize_sigma(args.i, cfg, minimize_value=args.minimize)
     doc = opt.to_json_dict()
@@ -240,9 +244,11 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     # argument errors surface before any trial is drawn or file written
     q = None if args.quadruple is None else _parse_quadruple(args.quadruple)
-    check_alpha(args.alpha)
+    montecarlo.check_alpha(args.alpha)
     b, label = _behavior_from_args(args)
     if args.out_csv is not None:  # what opening it would raise after the draw, raised before it
         if not args.out_csv:  # an empty path names no file
@@ -256,11 +262,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise OSError(exc.errno, exc.strerror, args.out_csv) from None
         if name != args.out_csv or os.path.isdir(name):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), args.out_csv)
-    log = simulate(b, args.n, seed=args.seed, policy=args.policy, n_shards=args.shards)
+    log = montecarlo.simulate(b, args.n, seed=args.seed, policy=args.policy, n_shards=args.shards)
     if args.out_csv is not None:
         log.to_csv(args.out_csv)
         _note(f"wrote {len(log)} trials to {args.out_csv}")
-    stats = estimate(log)
+    stats = montecarlo.estimate(log)
     doc: dict = {
         "input": label,
         "n": args.n,
@@ -268,8 +274,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "policy": args.policy,
         "alpha": args.alpha,
         "stats": stats.to_json_dict(),
-        "signaling": test_signaling(stats, args.alpha).to_json_dict(),
-        "inequality": None if q is None else test_inequality(stats, q, args.alpha).to_json_dict(),
+        "signaling": montecarlo.test_signaling(stats, args.alpha).to_json_dict(),
+        "inequality": None if q is None else montecarlo.test_inequality(stats, q, args.alpha).to_json_dict(),
     }
     _emit(doc)
     return 0

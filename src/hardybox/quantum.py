@@ -57,7 +57,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .behavior import Behavior, SchemaError, as_int, cell_of, correlation_vector, record_to_json
+from .behavior import Behavior, ConvergenceError, SchemaError, as_int, cell_of, correlation_vector, record_to_json
 from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values, sigma_values
 
 #: Largest Hardy probability reachable by two-qubit states: golden mean to the -5.
@@ -66,10 +66,6 @@ HARDY_MAX_PROBABILITY = (2.0 / (1.0 + math.sqrt(5.0))) ** 5
 #: Quantum extrema of the CHSH probability sums.
 SIGMA_QUANTUM_MAX = 2.0 + math.sqrt(2.0)
 SIGMA_QUANTUM_MIN = 2.0 - math.sqrt(2.0)
-
-
-class ConvergenceError(RuntimeError):
-    """The search did not reach the requested constraint tolerance."""
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Command-line interface: JSON contracts, exit codes, file handling."""
 
+import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hardybox
-from hardybox import cli
+from hardybox import cli, montecarlo
 from hardybox.behavior import save_behavior, uniform_behavior
 from hardybox.boxes import load_box
 from hardybox.cli import main
@@ -213,7 +215,7 @@ class TestSimulate:
             drawn.append(args[1])
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate", recording_simulate)
+        monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
         csv_path = tmp_path / "bad.csv"
         argv = ("simulate", "--box", "pr", "--n", "1000", flag, value, "--out-csv", str(csv_path))
         code, out, err = run(capsys, *argv)
@@ -228,7 +230,7 @@ class TestSimulate:
         def refuse(*args, **kwargs):
             raise AssertionError("trials were drawn")
 
-        monkeypatch.setattr(cli, "simulate", refuse)
+        monkeypatch.setattr(montecarlo, "simulate", refuse)
         (tmp_path / "a_file").write_bytes(b"")
         path = tmp_path / name
         with pytest.raises(OSError) as opened:
@@ -247,7 +249,7 @@ class TestSimulate:
         def refuse(*args, **kwargs):
             raise AssertionError("trials were drawn")
 
-        monkeypatch.setattr(cli, "simulate", refuse)
+        monkeypatch.setattr(montecarlo, "simulate", refuse)
         (tmp_path / "a_file").write_bytes(b"")
         path = os.path.join(tmp_path, name, "")
         with pytest.raises(OSError) as opened:
@@ -263,7 +265,7 @@ class TestSimulate:
         def refuse(*args, **kwargs):
             raise AssertionError("trials were drawn")
 
-        monkeypatch.setattr(cli, "simulate", refuse)
+        monkeypatch.setattr(montecarlo, "simulate", refuse)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(OSError) as opened:
             open("", "wb")
@@ -437,6 +439,125 @@ def test_all_holds_every_public_name():
     star: dict = {}
     exec("from hardybox import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+#: `__all__` as it stood before `montecarlo` and `quantum` loaded on first use
+_PUBLIC_NAMES = """
+__version__ DEFAULT_TOL OUTCOME_ORDER Behavior CorrelationVector Marginals Party
+SchemaError behavior_from_json_dict behavior_to_json_dict block_sums cell_of
+correlation correlation_vector index_of is_no_signaling is_normalized is_valid
+load_behavior marginals save_behavior uniform_behavior HARDY_QUADRUPLES
+SIGMA_PRIME_SUPPORTS SIGMA_SUPPORTS ChReport ChshReport ChValues DeltaValues
+EquivalenceAudit HardyQuadruple InequalityCheck SigmaShift SigmaValues
+ViolationReport ch_check ch_values ch_values_full chsh_check delta_values
+enumerate_hardy_inequalities equivalence_audit hardy_check hardy_witness
+local_deterministic_behavior local_vertices quadruple_for sigma_shift_of_hardy
+sigma_values BOX_NAMES NamedBox available_boxes hardy_pattern_a_box
+hardy_pattern_b_box kwiat_hardy_box load_box mermin_box pr_box ConstraintResiduals
+FreeSetId NsBoundResult NsBoundTriple SideCheck complete_from_free_set
+completion_roundtrip completion_signs constraint_matrix constraint_residuals
+constraint_rhs free_values_of nonneg_side_checks ns_bound_check
+random_no_signaling_behavior system_rank SETTINGS_SUBSTREAM InequalityTestResult
+SampleStats SignalingReport SignalingTestRow TrialLog TrialRecord block_rng estimate
+settings_sequence simulate test_inequality test_signaling HARDY_MAX_PROBABILITY
+SIGMA_QUANTUM_MAX SIGMA_QUANTUM_MIN BlochDirection ConvergenceError HardyOptimum
+MeasurementSettings OptimizerConfig PerfectCorrelationReport SearchDiagnostics
+SigmaOptimum TwoQubitState all_z_settings born_behavior maximize_hardy
+maximize_sigma singlet singlet_perfect_correlation_check
+""".split()
+
+#: what only the simulator and the searches need
+_HEAVY = ["csv", "fractions", "hardybox.montecarlo", "hardybox.quantum", "statistics"]
+
+# Runs cli.main on the arguments, then prints its status and which of HEAVY loaded.
+_LOADED_BY_MAIN = """
+import contextlib, io, json, sys
+from hardybox.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    status = main(sys.argv[2:])
+print(json.dumps([status, [m for m in json.loads(sys.argv[1]) if m in sys.modules]]))
+"""
+
+
+class TestLazyLoading:
+    def test_import_loads_neither_simulator_nor_searches(self):
+        proc = _python(
+            "-c",
+            "import json, sys, hardybox; print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))",
+            *_HEAVY,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--box", "mermin"],
+            ["check", "--input", "INPUT"],
+            ["enumerate"],
+            ["complete", "--variant", "s1", "--free", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5"],
+            ["examples"],
+            ["examples", "--dump", "pr"],
+        ],
+    )
+    def test_command_loads_neither_simulator_nor_searches(self, tmp_path, argv):
+        path = tmp_path / "u.json"
+        save_behavior(uniform_behavior(), path)
+        argv = [str(path) if a == "INPUT" else a for a in argv]
+        proc = _python("-c", _LOADED_BY_MAIN, json.dumps(_HEAVY), *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, []]
+
+    def test_simulate_loads_no_searches(self):
+        argv = ["simulate", "--box", "mermin", "--n", "1000", "--quadruple", "1:13"]
+        proc = _python("-c", _LOADED_BY_MAIN, json.dumps(_HEAVY), *argv)
+        assert proc.returncode == 0, proc.stderr
+        status, loaded = json.loads(proc.stdout)
+        assert status == 0 and "hardybox.montecarlo" in loaded
+        assert "hardybox.quantum" not in loaded
+
+    def test_names_are_the_submodules_own(self):
+        lazy = hardybox._LAZY
+        assert list(lazy) == _PUBLIC_NAMES[-31:]
+        assert set(lazy.values()) == {"montecarlo", "quantum"}
+        for name, sub in lazy.items():
+            assert getattr(hardybox, name) is getattr(importlib.import_module("hardybox." + sub), name)
+
+    def test_all_and_dir_unchanged(self):
+        assert hardybox.__all__ == _PUBLIC_NAMES
+        # before any name of montecarlo or quantum is looked up, too
+        proc = _python(
+            "-c",
+            "import sys, hardybox; names = set(dir(hardybox)); "
+            "assert names >= set(hardybox.__all__), set(hardybox.__all__) - names; "
+            "assert 'hardybox.montecarlo' not in sys.modules and 'hardybox.quantum' not in sys.modules",
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError) as missing:
+            hardybox.no_such_name
+        assert str(missing.value) == "module 'hardybox' has no attribute 'no_such_name'"
+        with pytest.raises(ImportError):
+            exec("from hardybox import no_such_name", {})
+
+    def test_from_import_binds_the_submodules(self):
+        proc = _python(
+            "-c",
+            "import sys; from hardybox import montecarlo, quantum; "
+            "assert montecarlo is sys.modules['hardybox.montecarlo'], montecarlo; "
+            "assert quantum is sys.modules['hardybox.quantum'], quantum",
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_one_convergence_error(self):
+        from hardybox import behavior, quantum
+
+        assert hardybox.ConvergenceError is quantum.ConvergenceError is behavior.ConvergenceError
+        with pytest.raises(hardybox.ConvergenceError) as raised:
+            raise quantum.ConvergenceError("no start converged")
+        again = pickle.loads(pickle.dumps(raised.value))
+        assert type(again) is behavior.ConvergenceError and again.args == ("no start converged",)
 
 
 def test_argparse_exit_code_on_unknown_command(capsys):
