@@ -441,7 +441,7 @@ def test_all_holds_every_public_name():
     assert set(star) - {"__builtins__"} == set(names)
 
 
-#: `__all__` as it stood before `montecarlo` and `quantum` loaded on first use
+#: `hardybox.__all__`, pinned: names loaded on first use keep their places
 _PUBLIC_NAMES = """
 __version__ DEFAULT_TOL OUTCOME_ORDER Behavior CorrelationVector Marginals Party
 SchemaError behavior_from_json_dict behavior_to_json_dict block_sums cell_of
