@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from numbers import Integral
 from pathlib import Path
@@ -49,6 +49,17 @@ class Party(enum.Enum):
     B = "B"
 
 
+def as_int(value: object, lo: int, hi: float, what: str) -> int:
+    """``int(value)``, for callers to go on with, if ``value`` is a Python or numpy
+    integer (not a bool) in ``lo..hi``; else ``ValueError(f"{what}, got {value!r}")``."""
+    if value.__class__ is int:  # the common case, already what callers go on with
+        if lo <= value <= hi:
+            return value
+    elif isinstance(value, Integral) and not isinstance(value, bool) and lo <= int(value) <= hi:
+        return int(value)
+    raise ValueError(f"{what}, got {value!r}")
+
+
 def index_of(setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> int:
     """Map (setting pair, outcome pair) to the 1-based cell index.
 
@@ -61,22 +72,29 @@ def index_of(setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> 
     >>> index_of(2, 2, -1, -1)
     16
     """
-    if setting_a not in (1, 2) or setting_b not in (1, 2):
-        raise ValueError(f"settings must be 1 or 2, got ({setting_a!r}, {setting_b!r})")
+    base = _block_base(setting_a, setting_b)
     try:
         offset = OUTCOME_ORDER.index((outcome_a, outcome_b))
     except ValueError:
         raise ValueError(
             f"outcomes must be +1 or -1, got ({outcome_a!r}, {outcome_b!r})"
         ) from None
-    return 4 * (2 * (setting_a - 1) + (setting_b - 1)) + offset + 1
+    return base + offset + 1
+
+
+def _block_base(setting_a: int, setting_b: int) -> int:
+    """0-based position of the first cell of a setting pair; `ValueError` unless
+    each setting is a Python or numpy integer (not a bool) 1 or 2."""
+    try:
+        return 4 * (2 * as_int(setting_a, 1, 2, "") + as_int(setting_b, 1, 2, "") - 3)
+    except ValueError:
+        raise ValueError(f"settings must be 1 or 2, got ({setting_a!r}, {setting_b!r})") from None
 
 
 def cell_position(index: int) -> int:
-    """0-based position of cell ``index``; `ValueError` unless it is in 1..16."""
-    if not 1 <= index <= 16:
-        raise ValueError(f"cell index must be in 1..16, got {index!r}")
-    return index - 1
+    """0-based position of cell ``index``; `ValueError` unless it is a Python or
+    numpy integer (not a bool) in 1..16."""
+    return as_int(index, 1, 16, "cell index must be in 1..16") - 1
 
 
 def cell_of(index: int) -> tuple[int, int, int, int]:
@@ -113,9 +131,7 @@ class Behavior:
 
     def block(self, setting_a: int, setting_b: int) -> tuple[float, float, float, float]:
         """The four cells of one setting pair, in outcome order."""
-        if setting_a not in (1, 2) or setting_b not in (1, 2):
-            raise ValueError(f"settings must be 1 or 2, got ({setting_a!r}, {setting_b!r})")
-        base = 4 * (2 * (setting_a - 1) + (setting_b - 1))
+        base = _block_base(setting_a, setting_b)
         return self.probs[base : base + 4]  # type: ignore[return-value]
 
 
@@ -138,8 +154,7 @@ def is_normalized(b: Behavior, tol: float = DEFAULT_TOL) -> bool:
     return all(abs(s - 1.0) <= tol for s in block_sums(b))
 
 
-@dataclass(frozen=True)
-class Marginals:
+class Marginals(NamedTuple):
     """One-party marginal probabilities of outcome +1, per remote setting.
 
     ``p_a[j-1][k-1]`` is P(a_j = +1) computed from the block where B measured
@@ -212,8 +227,7 @@ def correlation(b: Behavior, setting_a: int, setting_b: int) -> float:
     return pp + mm - pm - mp
 
 
-@dataclass(frozen=True)
-class CorrelationVector:
+class CorrelationVector(NamedTuple):
     c11: float
     c12: float
     c21: float
@@ -230,17 +244,6 @@ def correlation_vector(b: Behavior) -> CorrelationVector:
         correlation(b, 2, 1),
         correlation(b, 2, 2),
     )
-
-
-def as_int(value: object, lo: int, hi: float, what: str) -> int:
-    """``int(value)``, for callers to go on with, if ``value`` is a Python or numpy
-    integer (not a bool) in ``lo..hi``; else ``ValueError(f"{what}, got {value!r}")``."""
-    if value.__class__ is int:  # the common case, already what callers go on with
-        if lo <= value <= hi:
-            return value
-    elif isinstance(value, Integral) and not isinstance(value, bool) and lo <= int(value) <= hi:
-        return int(value)
-    raise ValueError(f"{what}, got {value!r}")
 
 
 class SchemaError(ValueError):
@@ -350,9 +353,9 @@ def _json_text(value: object, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def record_to_json(record: object) -> dict:
-    """A dataclass record as one key per field, in field order, each value `to_json`."""
-    return {f.name: to_json(getattr(record, f.name)) for f in fields(record)}
+def record_to_json(record: NamedTuple) -> dict:
+    """A `NamedTuple` record as one key per field, in field order, each value `to_json`."""
+    return {name: to_json(value) for name, value in zip(record._fields, record)}
 
 
 def behavior_to_json_dict(b: Behavior, label: str | None = None) -> dict:

@@ -49,15 +49,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .behavior import DEFAULT_TOL, Behavior, as_int, index_of, is_no_signaling, is_normalized, record_to_json
 from .locality import SIGMA_PRIME_SUPPORTS, SIGMA_SUPPORTS, FreeSetId, completion_signs
 
-@dataclass(frozen=True)
-class SigmaValues:
+
+class SigmaValues(NamedTuple):
     sigma: tuple[float, float, float, float]
     sigma_prime: tuple[float, float, float, float]
 
@@ -68,8 +68,7 @@ def sigma_values(b: Behavior) -> SigmaValues:
     return SigmaValues(v[_SIGMA], v[_SIGMA_PRIME])  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class DeltaValues:
+class DeltaValues(NamedTuple):
     delta: tuple[float, float, float, float]
 
 
@@ -78,8 +77,7 @@ def delta_values(b: Behavior) -> DeltaValues:
     return DeltaValues(_values(b)[_DELTA])  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class ChValues:
+class ChValues(NamedTuple):
     b: tuple[float, float, float, float]
 
 
@@ -96,13 +94,14 @@ def ch_values_full(b: Behavior, a_marg_via: int = 1, b_marg_via: int = 1) -> ChV
     p(b_k) from the block where A measured ``a_{b_marg_via}``.  The choice is
     immaterial exactly when the box is no-signaling.
     """
-    if a_marg_via not in (1, 2) or b_marg_via not in (1, 2):
-        raise ValueError("marginal block choices must be 1 or 2")
-    return ChValues(_values(b)[_CH_FULL[a_marg_via, b_marg_via]])  # type: ignore[arg-type]
+    try:
+        via = as_int(a_marg_via, 1, 2, ""), as_int(b_marg_via, 1, 2, "")
+    except ValueError:
+        raise ValueError("marginal block choices must be 1 or 2") from None
+    return ChValues(_values(b)[_CH_FULL[via]])  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class HardyQuadruple:
+class HardyQuadruple(NamedTuple):
     """Cells of one inequality pj <= pk + pl + pm <= 1 + pj.
 
     ``family`` numbers the eight source completion relations 1..8 (in the
@@ -333,8 +332,7 @@ def hardy_witness(b: Behavior, eps: float = 1e-6) -> tuple[HardyQuadruple, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     tol: float
     sigma: tuple[float, float, float, float]
     sigma_prime: tuple[float, float, float, float]
@@ -377,8 +375,7 @@ def chsh_check(b: Behavior, tol: float = DEFAULT_TOL) -> ChshReport:
     )
 
 
-@dataclass(frozen=True)
-class ChReport:
+class ChReport(NamedTuple):
     tol: float
     b_four_term: tuple[float, float, float, float]
     b_full: tuple[float, float, float, float]
@@ -408,8 +405,7 @@ def ch_check(
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceAudit:
+class EquivalenceAudit(NamedTuple):
     """Residuals of the identities linking the Delta, Sigma, and B quantities.
 
     ``delta_sigma`` and ``sigma_pair`` vanish for any normalized box;
@@ -471,8 +467,7 @@ def equivalence_audit(b: Behavior, tol: float = DEFAULT_TOL) -> EquivalenceAudit
     )
 
 
-@dataclass(frozen=True)
-class SigmaShift:
+class SigmaShift(NamedTuple):
     sigma_value: float
     predicted: float
 

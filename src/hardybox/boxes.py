@@ -21,9 +21,8 @@ one in the behavior JSON schema, which ``check --input`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .behavior import Behavior
 from .locality import FreeSetId, complete_from_free_set
@@ -113,8 +112,7 @@ _BOXES: dict[str, tuple[Callable[[], Behavior], str, dict[str, float]]] = {
 BOX_NAMES: tuple[str, ...] = tuple(_BOXES)
 
 
-@dataclass(frozen=True)
-class NamedBox:
+class NamedBox(NamedTuple):
     name: str
     title: str
     behavior: Behavior

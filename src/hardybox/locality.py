@@ -32,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -82,8 +82,7 @@ def system_rank() -> int:
     return int(np.linalg.matrix_rank(_MATRIX))
 
 
-@dataclass(frozen=True)
-class ConstraintResiduals:
+class ConstraintResiduals(NamedTuple):
     """Row residuals of the constraint system evaluated on a behavior."""
 
     normalization: tuple[float, float, float, float]
@@ -272,8 +271,7 @@ class NsBoundTriple:
             raise ValueError(f"need four distinct cells in 1..16, got {cells}")
 
 
-@dataclass(frozen=True)
-class NsBoundResult:
+class NsBoundResult(NamedTuple):
     lhs: float
     rhs: float
     satisfied: bool
@@ -295,8 +293,7 @@ def ns_bound_check(b: Behavior, triple: _QuadrupleLike, tol: float = DEFAULT_TOL
     return NsBoundResult(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + tol)
 
 
-@dataclass(frozen=True)
-class SideCheck:
+class SideCheck(NamedTuple):
     name: str
     slack: float
     satisfied: bool

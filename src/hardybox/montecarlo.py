@@ -68,11 +68,11 @@ size exceeds alpha at small n; see its docstring); `test_signaling` runs
 the eight two-proportion marginal comparisons matching the signaling rows
 of the constraint system, Bonferroni-corrected.  A test that reads an empty
 block is inconclusive, with NaN z-scores.  Per-call overhead sets the cost
-of a 500-trial experiment, so both tests fill their frozen records'
-``__dict__`` without the constructor (the records are equal), `test_signaling`
-reads one table, `_SIGNAL_CELLS`, and `_seek` builds its state from Python
-ints.  Normal quantiles and tails come from the standard library
-(`statistics.NormalDist`, `math.erfc`), so this module needs only numpy.
+of a 500-trial experiment, so both tests build their `NamedTuple` records
+positionally, `test_signaling` reads one table, `_SIGNAL_CELLS`, and `_seek`
+builds its state from Python ints.  Normal quantiles and tails come from the
+standard library (`statistics.NormalDist`, `math.erfc`), so this module needs
+only numpy.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -581,8 +580,7 @@ def _wilson_stderr(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.sqrt(p * (1.0 - p) / n + 0.25 / (n * n)) / (1.0 + 1.0 / n)
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     """Per-cell counts, frequencies and standard errors from a trial log.
 
     ``counts[g][o]`` is the count of outcome pair ``o`` (block-local offset
@@ -639,8 +637,7 @@ def estimate(log: TrialLog) -> SampleStats:
     return SampleStats.from_counts(flat.reshape(4, 4))
 
 
-@dataclass(frozen=True)
-class InequalityTestResult:
+class InequalityTestResult(NamedTuple):
     """One-sided z-tests of both bounds of a cell quadruple.
 
     The four cells live in four distinct blocks, so their sampling errors
@@ -714,18 +711,12 @@ def test_inequality(
         upper = 1.0 + f[j] - klm
     z_lower, z_upper = lower / se, upper / se
     z_alpha = _z_alpha(alpha)
-    # filled like `bell.hardy_check`'s records: equal to the constructor's
-    res = object.__new__(InequalityTestResult)
-    res.__dict__.update(
-        quadruple=q, alpha=alpha, lower_slack=lower, upper_slack=upper, stderr=se,
-        z_lower=z_lower, z_upper=z_upper, violated_lower=z_lower < -z_alpha,
-        violated_upper=z_upper < -z_alpha, inconclusive=inconclusive,
+    return InequalityTestResult(
+        q, alpha, lower, upper, se, z_lower, z_upper, z_lower < -z_alpha, z_upper < -z_alpha, inconclusive
     )
-    return res
 
 
-@dataclass(frozen=True)
-class SignalingTestRow:
+class SignalingTestRow(NamedTuple):
     """Two-proportion comparison of one marginal across the far setting."""
 
     party: Party
@@ -739,8 +730,7 @@ class SignalingTestRow:
     to_json_dict = record_to_json
 
 
-@dataclass(frozen=True)
-class SignalingReport:
+class SignalingReport(NamedTuple):
     """Eight marginal comparisons in the order of the signaling constraint rows.
 
     Row significance is judged at ``alpha / 8`` (Bonferroni), so the overall
@@ -793,10 +783,5 @@ def test_signaling(stats: SampleStats, alpha: float = 0.01) -> SignalingReport:
             var = pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)
             z = 0.0 if var == 0.0 else (x1 / n1 - x2 / n2) / math.sqrt(var)
         p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail, 1.0 at z = 0
-        row = object.__new__(SignalingTestRow)
-        row.__dict__.update(
-            party=party, setting=setting, outcome=outcome, z=z, p_value=p,
-            significant=p < threshold, inconclusive=inconclusive,
-        )
-        rows.append(row)
-    return SignalingReport(rows=tuple(rows), alpha=alpha)
+        rows.append(SignalingTestRow(party, setting, outcome, z, p, p < threshold, inconclusive))
+    return SignalingReport(tuple(rows), alpha)

@@ -53,11 +53,11 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
-from .behavior import Behavior, ConvergenceError, SchemaError, as_int, cell_of, correlation_vector, record_to_json
+from .behavior import Behavior, ConvergenceError, SchemaError, as_int, cell_of, correlation_vector, record_to_json, to_json
 from .bell import HARDY_QUADRUPLES, SIGMA_SUPPORTS, HardyQuadruple, delta_values, sigma_values
 
 #: Largest Hardy probability reachable by two-qubit states: golden mean to the -5.
@@ -88,7 +88,8 @@ class TwoQubitState:
     def as_array(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
 
-    to_json_dict = record_to_json
+    def to_json_dict(self) -> dict:
+        return {"amplitudes": to_json(self.amplitudes)}
 
 
 def singlet() -> TwoQubitState:
@@ -97,8 +98,7 @@ def singlet() -> TwoQubitState:
     return TwoQubitState((0.0, r, -r, 0.0))
 
 
-@dataclass(frozen=True)
-class BlochDirection:
+class BlochDirection(NamedTuple):
     """Measurement direction on the Bloch sphere, spherical angles in radians."""
 
     theta: float
@@ -117,8 +117,7 @@ class BlochDirection:
     to_json_dict = record_to_json
 
 
-@dataclass(frozen=True)
-class MeasurementSettings:
+class MeasurementSettings(NamedTuple):
     """One Bloch direction per setting."""
 
     a1: BlochDirection
@@ -275,7 +274,8 @@ class OptimizerConfig:
                 raise SchemaError(f"{name} must be {what}, got {v!r}", name)
             object.__setattr__(self, name, cast(v))
 
-    to_json_dict = record_to_json
+    def to_json_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # each value JSON already
 
     @staticmethod
     def from_json_dict(doc: dict) -> "OptimizerConfig":
@@ -394,8 +394,7 @@ def _starts(space: _SearchSpace, n: int, seed: int) -> np.ndarray:
     return hi * np.random.default_rng(seed).random((n, space.dims))
 
 
-@dataclass(frozen=True)
-class SearchDiagnostics:
+class SearchDiagnostics(NamedTuple):
     """How a search reached its result; no wall time, so it reproduces.
 
     ``kernel_evaluations`` counts the points evaluated over all descents;
@@ -694,8 +693,7 @@ def _extremize(
     )
 
 
-@dataclass(frozen=True)
-class HardyOptimum:
+class HardyOptimum(NamedTuple):
     """Result of `maximize_hardy`; ``pj_value``, ``zero_residual`` come from `born_behavior`."""
 
     quadruple: HardyQuadruple
@@ -742,8 +740,7 @@ def maximize_hardy(
     )
 
 
-@dataclass(frozen=True)
-class SigmaOptimum:
+class SigmaOptimum(NamedTuple):
     sigma_index: int
     minimize: bool
     value: float
@@ -778,8 +775,7 @@ def maximize_sigma(
     )
 
 
-@dataclass(frozen=True)
-class PerfectCorrelationReport:
+class PerfectCorrelationReport(NamedTuple):
     """Outcome of the singlet three-zero analysis."""
 
     patterns: tuple[HardyQuadruple, ...]

@@ -66,6 +66,39 @@ class TestIndexing:
             cell_of(17)
 
 
+class TestIntegerCellsAndSettings:
+    """Cells and settings follow `as_int`: Python or numpy integers, not bools or floats."""
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.0, np.True_, np.float64(1.0)])
+    def test_settings_refused(self, bad):
+        b = mermin_box()
+        calls = (lambda s: index_of(*s, 1, 1), lambda s: b.block(*s), lambda s: b.prob(*s, 1, 1))
+        for settings in ((bad, 1), (1, bad)):
+            for call in calls:
+                with pytest.raises(ValueError) as exc:
+                    call(settings)
+                assert str(exc.value) == f"settings must be 1 or 2, got ({settings[0]!r}, {settings[1]!r})"
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 16.0, np.True_, np.float64(1.0)])
+    def test_cells_refused(self, bad):
+        b = uniform_behavior()
+        for read in (b.p, cell_of):
+            with pytest.raises(ValueError) as exc:
+                read(bad)
+            assert str(exc.value) == f"cell index must be in 1..16, got {bad!r}"
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int8, np.uint64])
+    def test_numpy_integers_accepted(self, integer):
+        b = mermin_box()
+        for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            got = index_of(integer(j), integer(k), 1, -1)
+            assert type(got) is int and got == index_of(j, k, 1, -1)
+            assert b.block(integer(j), integer(k)) == b.block(j, k)
+        for i in range(1, 17):
+            assert b.p(integer(i)) == b.p(i)
+            assert cell_of(integer(i)) == cell_of(i)
+
+
 class TestBehavior:
     def test_accessors_agree(self):
         b = mermin_box()

@@ -196,6 +196,20 @@ class TestChForms:
     def test_mermin_four_term(self):
         assert ch_values(mermin_box()).b[0] == pytest.approx(-1.09, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.0, np.True_, np.float64(2.0), 0, 3])
+    def test_full_form_refuses_non_integer_marginal_choices(self, bad):
+        for via in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match=r"^marginal block choices must be 1 or 2$"):
+                ch_values_full(mermin_box(), *via)
+            with pytest.raises(ValueError, match=r"^marginal block choices must be 1 or 2$"):
+                ch_check(mermin_box(), a_marg_via=via[0], b_marg_via=via[1])
+
+    def test_full_form_takes_numpy_marginal_choices(self):
+        b = kwiat_hardy_box()
+        for am in (1, 2):
+            for bm in (1, 2):
+                assert ch_values_full(b, np.int64(am), np.uint8(bm)) == ch_values_full(b, am, bm)
+
     def test_identity_on_no_signaling(self):
         rng = np.random.default_rng(41)
         for _ in range(30):

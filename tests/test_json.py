@@ -2,7 +2,8 @@
 
 Each record below is built by hand and its `to_json_dict()` compared with a
 dict literal written out in full.  Comparing the `json.dumps` text as well
-pins the key order at every level and tells ``1`` from ``1.0``.
+pins the key order at every level and tells ``1`` from ``1.0``.  Each record
+also survives `copy.copy` and `pickle`, and refuses to have a field set.
 
 The files under ``tests/data/cli`` are the stdout of the commands in
 `GOLDEN` and `HELP`; regenerate one with, e.g.,
@@ -19,8 +20,14 @@ roots, but its signaling p-values come from the C library's ``erfc``.
 allow_nan=False)` is its oracle here.
 """
 
+import copy
+import dataclasses
+import importlib
+import inspect
 import json
 import math
+import pickle
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +35,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hardybox
 from hardybox import cli
 from hardybox.behavior import Party, json_text
-from hardybox.bell import ChReport, ChshReport, quadruple_for
+from hardybox.bell import ChReport, ChshReport, EquivalenceAudit, quadruple_for
 from hardybox.cli import main
 from hardybox.montecarlo import (
     InequalityTestResult,
@@ -40,6 +48,7 @@ from hardybox.montecarlo import (
 )
 from hardybox.quantum import (
     BlochDirection,
+    HardyOptimum,
     MeasurementSettings,
     OptimizerConfig,
     PerfectCorrelationReport,
@@ -113,6 +122,26 @@ CASES = {
             "sigma_violations": [False, False, False, True],
             "delta_violations": [False, False, False, True],
             "consistency_residuals": [0.0, -0.5, 0.25, 0.0],
+        },
+    ),
+    "EquivalenceAudit": (
+        EquivalenceAudit(
+            tol=0.125,
+            no_signaling=False,
+            delta_sigma=(0.0, -0.0, 0.0, 0.0),
+            sigma_pair=(0.0, 0.0, 0.0625, 0.0),
+            ch_four_term=(0.0, -0.5, 0.0, 0.0),
+            ch_full=(0.25, 0.0, 0.0, -0.125),
+        ),
+        {
+            "tol": 0.125,
+            "no_signaling": False,
+            "delta_sigma_residuals": [0.0, -0.0, 0.0, 0.0],
+            "sigma_pair_residuals": [0.0, 0.0, 0.0625, 0.0],
+            "ch_four_term_residuals": [0.0, -0.5, 0.0, 0.0],
+            "ch_full_residuals": [0.25, 0.0, 0.0, -0.125],
+            "ch_identities_ok": False,
+            "flagged": True,
         },
     ),
     "ChReport": (
@@ -218,6 +247,24 @@ CASES = {
         },
     ),
     "SearchDiagnostics": (DIAGNOSTICS, DIAGNOSTICS_JSON),
+    "HardyOptimum": (
+        HardyOptimum(
+            quadruple=Q113,
+            state=STATE,
+            settings=SETTINGS,
+            pj_value=0.09375,
+            zero_residual=1e-20,
+            diagnostics=DIAGNOSTICS,
+        ),
+        {
+            "quadruple": Q113_JSON,
+            "pj": 0.09375,
+            "zero_residual": 1e-20,
+            "state": STATE_JSON,
+            "settings": SETTINGS_JSON,
+            "diagnostics": DIAGNOSTICS_JSON,
+        },
+    ),
     "SigmaOptimum": (
         SigmaOptimum(
             sigma_index=2,
@@ -263,6 +310,52 @@ def test_record_json(name):
     assert doc == expected  # lists, not tuples: [1] != (1,)
     # key order at every level, 1 against 1.0, and no NaN or Infinity
     assert json.dumps(doc, allow_nan=False) == json.dumps(expected)
+    # a copy and a pickle round trip give a record of the same type and value
+    for again in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(again) is type(record)
+        assert repr(again) == repr(record)
+        assert again.to_json_dict() == expected
+        if "nan" not in repr(record):  # NaN != NaN, so an unpickled NaN differs
+            assert again == record
+    assert copy.copy(record) == record  # the same NaN objects compare equal
+    first = next(iter(inspect.signature(type(record)).parameters))
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+
+
+def test_six_dataclasses_are_left():
+    # four validate in __post_init__; InequalityCheck and ViolationReport stay
+    # dataclasses for the benchmark's self-test, which calls dataclasses.replace
+    found = {}
+    for module in pkgutil.iter_modules(hardybox.__path__):
+        if module.name == "__main__":  # runs the command line
+            continue
+        namespace = vars(importlib.import_module(f"hardybox.{module.name}"))
+        for obj in namespace.values():
+            if isinstance(obj, type) and obj.__module__ == f"hardybox.{module.name}":
+                found[obj.__name__] = obj
+    kept = {name for name, cls in found.items() if dataclasses.is_dataclass(cls)}
+    assert kept == {
+        "Behavior", "NsBoundTriple", "TwoQubitState", "OptimizerConfig", "InequalityCheck", "ViolationReport",
+    }
+    for name in kept:
+        assert found[name].__dataclass_params__.frozen, name
+    records = {name for name, cls in found.items() if issubclass(cls, tuple) and hasattr(cls, "_fields")}
+    assert records >= {
+        "Marginals", "CorrelationVector", "SigmaValues", "DeltaValues", "ChValues", "HardyQuadruple",
+        "ChshReport", "ChReport", "EquivalenceAudit", "SigmaShift", "NamedBox", "ConstraintResiduals",
+        "NsBoundResult", "SideCheck", "SampleStats", "InequalityTestResult", "SignalingTestRow",
+        "SignalingReport", "BlochDirection", "MeasurementSettings", "SearchDiagnostics", "HardyOptimum",
+        "SigmaOptimum", "PerfectCorrelationReport",
+    }
+
+
+def test_record_reprs():
+    assert repr(Q113) == "HardyQuadruple(j=13, k=4, l=5, m=9, family=1, sigma_index=1, primed=False)"
+    assert repr(DIAGNOSTICS) == (
+        "SearchDiagnostics(starts_tried=3, starts_feasible=2, winning_start=1, "
+        "kernel_evaluations=40, max_constrained_cell=1.5e-12, stationarity_residual=2.5e-09)"
+    )
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"

@@ -6,7 +6,6 @@ any change to the substream scheme or the skip rule breaks them.
 
 import concurrent.futures
 import csv
-import dataclasses
 import hashlib
 import io
 import math
@@ -1390,8 +1389,8 @@ class TestSameRecordsAsTheLoops:
         records = [run_inequality_test(stats, q) for q in HARDY_QUADRUPLES]
         records += run_signaling_test(stats).rows
         for got in records:
-            built = type(got)(**{f.name: getattr(got, f.name) for f in dataclasses.fields(got)})
+            built = type(got)(*got)
             assert got == built and hash(got) == hash(built)
             assert got.to_json_dict() == built.to_json_dict()
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):  # FrozenInstanceError is one too
                 got.inconclusive = not got.inconclusive
