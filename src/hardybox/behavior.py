@@ -63,7 +63,8 @@ def as_int(value: object, lo: int, hi: float, what: str) -> int:
 def index_of(setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> int:
     """Map (setting pair, outcome pair) to the 1-based cell index.
 
-    ``setting_a`` and ``setting_b`` are 1 or 2; outcomes are +1 or -1.
+    ``setting_a`` and ``setting_b`` are 1 or 2; outcomes are +1 or -1.  Each
+    is a Python or numpy integer (not a bool), as `as_int` takes them.
 
     >>> index_of(1, 1, 1, 1)
     1
@@ -74,7 +75,7 @@ def index_of(setting_a: int, setting_b: int, outcome_a: int, outcome_b: int) -> 
     """
     base = _block_base(setting_a, setting_b)
     try:
-        offset = OUTCOME_ORDER.index((outcome_a, outcome_b))
+        offset = OUTCOME_ORDER.index((as_int(outcome_a, -1, 1, ""), as_int(outcome_b, -1, 1, "")))
     except ValueError:
         raise ValueError(
             f"outcomes must be +1 or -1, got ({outcome_a!r}, {outcome_b!r})"
@@ -262,13 +263,16 @@ class ConvergenceError(RuntimeError):
 
 
 def to_json(value: object) -> object:
-    """``value`` as JSON data: a record through its ``to_json_dict``, a tuple or
-    list as an array, a complex number as ``[re, im]``, an enum as its value,
-    and a NaN or infinite float as ``None``, since JSON has neither."""
+    """``value`` as JSON data: a record through its ``to_json_dict``, a
+    `NamedTuple` without one through `record_to_json`, a tuple or list as an
+    array, a complex number as ``[re, im]``, an enum as its value, and a NaN
+    or infinite float as ``None``, since JSON has neither."""
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     if isinstance(value, enum.Enum):
         return value.value
+    if hasattr(value, "_fields"):  # field names, not a bare array
+        return record_to_json(value)
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if isinstance(value, complex):
@@ -289,6 +293,14 @@ def json_text(value: object) -> str:
     indent turns json's C encoder off, and its pure-Python encoder nests a
     generator per container; here each container is one `str.join` of its
     items' texts, and a plain scalar's text is one lookup by exact type.
+
+    One hook, for values ``json.dumps`` refuses: a value of no JSON type whose
+    class defines ``__json_text__(value, newline)`` is written as that
+    method's text.  ``newline`` is ``"\\n"`` and the indentation of the line
+    the value starts on; the method returns, byte for byte, what this
+    function writes for the value's dict form, and refuses what it refuses.
+    `hardybox.bell.ViolationReport` has one, which writes its 64 rows from
+    text made once per quadruple.
     """
     return _json_text(value, "\n")
 
@@ -350,6 +362,9 @@ def _json_text(value: object, newline: str) -> str:
     for base in (str, int, float):  # a subclass; bool and None have none
         if isinstance(value, base):
             return _SCALAR_TEXT[base](value)
+    write = getattr(type(value), "__json_text__", None)
+    if write is not None:
+        return write(value, newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

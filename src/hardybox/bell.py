@@ -40,20 +40,33 @@ report per box and always misses, for the cost of that identity test.
 `hardy_check` fills each of its 64 `InequalityCheck` records' ``__dict__``
 directly, as `copy` and `pickle` restore a frozen dataclass: the records
 equal the constructor's.  `ViolationReport.summary` counts the violations in
-one pass, for `to_json_dict` and ``check``'s note.
+one pass, on its first call; ``check`` prints the summary and reads its
+note's count from it again.
+
+``check`` prints a report through `json_text`, which calls the report's
+``__json_text__``.  Of a row, only the two slacks and the two flags change
+from box to box, so each quadruple's row is a ``%s`` template made once per
+indentation by `json_text` itself, from ``InequalityCheck.to_json_dict``
+with placeholder values; a row is its template filled with the writer's own
+scalar texts.  The bytes are those of ``json.dumps`` on `to_json_dict`,
+which stays the library's dict form.
 
 Cell numbering follows `hardybox.behavior`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .behavior import DEFAULT_TOL, Behavior, as_int, index_of, is_no_signaling, is_normalized, record_to_json
+from .behavior import _SCALAR_TEXT, _json_text
 from .locality import SIGMA_PRIME_SUPPORTS, SIGMA_SUPPORTS, FreeSetId, completion_signs
 
 
@@ -277,20 +290,27 @@ class ViolationReport:
         return dict(enumerate(self.summary()["violated_by_family"], start=1))
 
     def summary(self) -> dict:
-        """The violation counts of `to_json_dict`, from one pass over the checks."""
-        lower, upper, by_family = 0, 0, [0] * 8
-        for c in self.checks:
-            lower += c.violated_lower
-            upper += c.violated_upper
-            by_family[c.quadruple.family - 1] += c.violated_lower or c.violated_upper
+        """The violation counts of `to_json_dict`, in a new dict on each call."""
+        lower, upper, by_family = self._counts
         violated = sum(by_family)
         return {
             "violated_lower": lower,
             "violated_upper": upper,
             "violated": violated,
             "satisfied": len(self.checks) - violated,
-            "violated_by_family": by_family,
+            "violated_by_family": list(by_family),
         }
+
+    @functools.cached_property
+    def _counts(self) -> tuple[int, int, tuple[int, ...]]:
+        # one pass over the checks, on the first `summary`: ``check`` prints
+        # the summary and then reads its note's count from it again
+        lower, upper, by_family = 0, 0, [0] * 8
+        for c in self.checks:
+            lower += c.violated_lower
+            upper += c.violated_upper
+            by_family[c.quadruple.family - 1] += c.violated_lower or c.violated_upper
+        return lower, upper, tuple(by_family)
 
     def to_json_dict(self) -> dict:
         return {
@@ -298,6 +318,64 @@ class ViolationReport:
             "inequalities": [c.to_json_dict() for c in self.checks],
             "summary": self.summary(),
         }
+
+    def __json_text__(self, newline: str) -> str:
+        """`json_text` of `to_json_dict`, the same bytes, for a report whose line
+        starts at ``newline``.  A check of `hardy_check` fills its quadruple's
+        row template; any other check is written from its ``to_json_dict``."""
+        summary = self.summary()  # counted before anything is written, as in to_json_dict
+        inner = newline + "  "
+        row = inner + "  "
+        value = row + "  "  # the line of a row's value, for a value that is not a scalar
+        tol = _json_text(self.tol, inner)  # a bad tol is refused first, as json.dumps refuses it
+        templates = _row_templates(row)
+        finite, real, flag = math.isfinite, float.__repr__, _SCALAR_TEXT[bool]
+        rows = []
+        for c in self.checks:
+            template = templates.get(id(c.quadruple)) if c.__class__ is InequalityCheck else None
+            if template is None:
+                rows.append(_json_text(c.to_json_dict(), row))
+                continue
+            lower, upper, low, up = c.lower_slack, c.upper_slack, c.violated_lower, c.violated_upper
+            rows.append(
+                template
+                % (
+                    real(lower) if lower.__class__ is float and finite(lower) else _json_text(lower, value),
+                    real(upper) if upper.__class__ is float and finite(upper) else _json_text(upper, value),
+                    flag(low) if low.__class__ is bool else _json_text(low, value),
+                    flag(up) if up.__class__ is bool else _json_text(up, value),
+                )
+            )
+        inequalities = "[" + row + ("," + row).join(rows) + inner + "]" if rows else "[]"
+        return (
+            "{" + inner + '"tol": ' + tol + "," + inner + '"inequalities": ' + inequalities
+            + "," + inner + '"summary": ' + _json_text(summary, inner) + newline + "}"
+        )
+
+
+@functools.cache
+def _row_templates(newline: str) -> dict[int, str]:
+    """For each of `HARDY_QUADRUPLES`, keyed by its ``id``, the `json_text` of
+    its check's ``to_json_dict`` on a line starting at ``newline``, with the two
+    slacks and the two flags as ``%s`` slots, in the order ``to_json_dict``
+    writes them: their field order.
+
+    One row is written, with a placeholder string for each field of the
+    quadruple and the check; each quadruple puts the texts of its fields in."""
+    marks = [f"\0{n}" for n in range(len(HardyQuadruple._fields) + 4)]
+    row = _json_text(InequalityCheck(HardyQuadruple(*marks[:-4]), *marks[-4:]).to_json_dict(), newline)
+    marks = [encode_basestring_ascii(mark) for mark in marks]  # as json_text writes them, quoted
+    row = row.replace("%", "%%")
+    for mark in marks[-4:]:
+        row = row.replace(mark, "%s")
+    fields = [(n, mark) for n, mark in enumerate(marks[:-4]) if mark in row]
+    templates = {}
+    for q in HARDY_QUADRUPLES:
+        text = row
+        for n, mark in fields:
+            text = text.replace(mark, _json_text(q[n], newline + "  ").replace("%", "%%"))
+        templates[id(q)] = text
+    return templates
 
 
 _new_check = object.__new__

@@ -2,7 +2,10 @@
 
 Machine-readable JSON goes to stdout, prose to stderr.  Each document is
 the bytes of ``json.dumps(doc, indent=2, allow_nan=False)`` and a newline,
-written by one writer, `hardybox.behavior.json_text`.  `main` builds its
+written by one writer, `hardybox.behavior.json_text`.  ``check`` puts its
+`ViolationReport` in the document itself, not its dict form: the writer
+splices in the report's own text through its one hook, ``__json_text__``,
+with the same bytes as the ``json.dumps`` of the dict.  `main` builds its
 parser on the first call and reuses it for the rest of the process.
 `simulate` imports `hardybox.montecarlo` and the searches import
 `hardybox.quantum` when they run, so `check`, `enumerate`, `complete` and
@@ -146,7 +149,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc["correlations"] = list(correlation_vector(b).as_tuple())
     doc["ch_four_term"] = list(ch_values(b).b)
     doc["ch_full"] = list(ch_values_full(b).b)
-    doc["hardy"] = hardy_check(b, tol).to_json_dict()
+    hardy = doc["hardy"] = hardy_check(b, tol)  # json_text writes it through its __json_text__
     doc["audit"] = equivalence_audit(b, tol).to_json_dict()
     if normalized and no_signaling:
         witnesses = []
@@ -167,7 +170,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _emit(doc)
     _note(
         f"{label}: valid={valid} normalized={normalized} no_signaling={no_signaling} "
-        f"hardy_violations={doc['hardy']['summary']['violated']}"
+        f"hardy_violations={hardy.summary()['violated']}"
     )
     if args.strict and not (valid and normalized and no_signaling):
         _note("strict mode: structural checks failed")

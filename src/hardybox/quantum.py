@@ -109,10 +109,12 @@ class BlochDirection(NamedTuple):
         return (st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta))
 
     def eigenstate(self, outcome: int) -> tuple[complex, complex]:
-        """Eigenvector of the spin observable along this direction."""
-        if outcome not in (1, -1):
-            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-        return _eigenstates(self.theta, self.phi)[outcome]
+        """Eigenvector of the spin observable along this direction; ``outcome``
+        is a Python or numpy integer (not a bool), +1 or -1."""
+        what = "outcome must be +1 or -1"
+        if not as_int(outcome, -1, 1, what):
+            raise ValueError(f"{what}, got {outcome!r}")
+        return _eigenstates(self.theta, self.phi)[int(outcome)]
 
     to_json_dict = record_to_json
 
@@ -133,11 +135,8 @@ class MeasurementSettings(NamedTuple):
 
     @staticmethod
     def _pick(setting: int, first: BlochDirection, second: BlochDirection) -> BlochDirection:
-        if setting == 1:
-            return first
-        if setting == 2:
-            return second
-        raise ValueError(f"setting must be 1 or 2, got {setting!r}")
+        # a Python or numpy integer (not a bool), 1 or 2
+        return second if as_int(setting, 1, 2, "setting must be 1 or 2") == 2 else first
 
     to_json_dict = record_to_json
 

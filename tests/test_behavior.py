@@ -87,6 +87,24 @@ class TestIntegerCellsAndSettings:
                 read(bad)
             assert str(exc.value) == f"cell index must be in 1..16, got {bad!r}"
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, np.True_, np.float64(1.0), 0, 2])
+    def test_outcomes_refused(self, bad):
+        b = mermin_box()
+        for outcomes in ((bad, 1), (1, bad), (-1, bad)):
+            for call in (index_of, b.prob):
+                with pytest.raises(ValueError) as exc:
+                    call(1, 2, *outcomes)
+                assert str(exc.value) == f"outcomes must be +1 or -1, got ({outcomes[0]!r}, {outcomes[1]!r})"
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int8])
+    def test_numpy_outcomes_accepted(self, integer):
+        b = mermin_box()
+        for i in range(1, 17):
+            j, k, m, n = cell_of(i)
+            got = index_of(j, k, integer(m), integer(n))
+            assert type(got) is int and got == i
+            assert b.prob(j, k, integer(m), integer(n)) == b.p(i)
+
     @pytest.mark.parametrize("integer", [np.int64, np.int8, np.uint64])
     def test_numpy_integers_accepted(self, integer):
         b = mermin_box()

@@ -17,11 +17,15 @@ frequencies, standard errors and z-scores are IEEE divisions and square
 roots, but its signaling p-values come from the C library's ``erfc``.
 
 `json_text` writes every document; `json.dumps(value, indent=2,
-allow_nan=False)` is its oracle here.
+allow_nan=False)` is its oracle here.  `ViolationReport` writes its own text
+through `json_text`'s one hook, ``__json_text__``; on 2,000 seeded boxes of
+five kinds that text is the ``json.dumps`` of its ``to_json_dict``, at three
+depths, and so is ``check``'s whole stdout.
 """
 
 import copy
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -37,8 +41,20 @@ from hypothesis import strategies as st
 
 import hardybox
 from hardybox import cli
-from hardybox.behavior import Party, json_text
-from hardybox.bell import ChReport, ChshReport, EquivalenceAudit, quadruple_for
+from hardybox.behavior import Behavior, Party, cell_of, json_text, to_json
+from hardybox.bell import (
+    ChReport,
+    ChshReport,
+    EquivalenceAudit,
+    HardyQuadruple,
+    InequalityCheck,
+    ViolationReport,
+    hardy_check,
+    local_vertices,
+    quadruple_for,
+    sigma_values,
+)
+from hardybox.boxes import mermin_box
 from hardybox.cli import main
 from hardybox.montecarlo import (
     InequalityTestResult,
@@ -55,6 +71,7 @@ from hardybox.quantum import (
     SearchDiagnostics,
     SigmaOptimum,
     TwoQubitState,
+    born_behavior,
 )
 
 NAN, INF = math.nan, math.inf
@@ -515,3 +532,155 @@ def test_json_text_refusals(value, error, place):
     with pytest.raises(error) as got:
         json_text(doc)
     assert got.value.args == want.value.args
+
+
+def test_to_json_names_the_fields_of_a_record_without_to_json_dict():
+    sv = sigma_values(mermin_box())
+    doc = to_json(sv)
+    assert doc == {"sigma": list(sv.sigma), "sigma_prime": list(sv.sigma_prime)}
+    assert json_text(doc) == _dumps({"sigma": sv.sigma, "sigma_prime": sv.sigma_prime})
+    assert to_json([sv, (sv,)]) == [doc, [doc]]  # inside arrays too
+    report = hardy_check(mermin_box())
+    assert to_json(report) == report.to_json_dict()  # a record with its own dict form keeps it
+
+
+def _pr_boxes():
+    """The eight PR boxes: outcome bits a ^ b == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma."""
+    boxes = []
+    for n in range(8):
+        alpha, beta, gamma = n >> 2, (n >> 1) & 1, n & 1
+        cells = [0.0] * 16
+        for c in range(1, 17):
+            setting_a, setting_b, outcome_a, outcome_b = cell_of(c)
+            x, y, a, b = setting_a - 1, setting_b - 1, (1 - outcome_a) // 2, (1 - outcome_b) // 2
+            if a ^ b == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma:
+                cells[c - 1] = 0.5
+        boxes.append(cells)
+    return np.array(boxes)
+
+
+@functools.cache
+def _writer_boxes():
+    """2,000 seeded boxes, 400 of each kind: no-signaling mixtures of local
+    vertices and PR boxes, block-normalized tables that signal, valid tables
+    that are not normalized, Born boxes, and boxes of those four kinds with
+    -0.0 and subnormal cells put in."""
+    rng = np.random.default_rng(3401)
+    extremal = np.vstack([np.array([v.probs for v in local_vertices()]), _pr_boxes()])
+    boxes = []
+    for _ in range(400):  # a few extremal boxes each, so some cells are exact zeros
+        chosen = rng.choice(len(extremal), size=rng.integers(1, 5), replace=False)
+        boxes.append(rng.dirichlet(np.ones(len(chosen))) @ extremal[chosen])
+    for _ in range(400):
+        boxes.append(rng.dirichlet(np.ones(4), size=4).ravel())
+    for _ in range(400):
+        boxes.append(rng.uniform(0.0, 1.0, 16))
+    for _ in range(400):
+        amplitudes = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = TwoQubitState(tuple(complex(a) for a in amplitudes / np.linalg.norm(amplitudes)))
+        directions = [BlochDirection(*rng.uniform(0.0, math.pi, 2)) for _ in range(4)]
+        boxes.append(born_behavior(state, MeasurementSettings(*directions)).probs)
+    for i in range(400):
+        probs = np.array(boxes[i % 4 * 400 + i // 4], dtype=float)
+        cells = rng.choice(16, size=rng.integers(1, 6), replace=False)
+        probs[cells] = rng.choice([-0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e-310], size=len(cells))
+        boxes.append(probs)
+    return [Behavior(tuple(float(x) for x in probs)) for probs in boxes]
+
+
+def test_writer_boxes_cover_each_kind():
+    probs = np.array([b.probs for b in _writer_boxes()])
+    blocks = probs.reshape(-1, 4, 4).sum(axis=2)
+    marginal_gap = np.abs(probs[:, [0, 1]].sum(axis=1) - probs[:, [4, 5]].sum(axis=1))
+    assert len(_writer_boxes()) == 2000
+    assert (np.abs(blocks[:400] - 1) < 1e-12).all() and (marginal_gap[:400] < 1e-12).all()
+    assert (np.abs(blocks[400:800] - 1) < 1e-12).all() and (marginal_gap[400:800] > 1e-6).mean() > 0.9
+    assert (np.abs(blocks[800:1200] - 1) > 1e-6).all()
+    assert (probs[:400] == 0).any(axis=1).mean() > 0.5  # exact zeros: Hardy patterns and ties
+    tail = probs[1600:]
+    assert (np.signbit(tail) & (tail == 0)).any() and ((tail != 0) & (np.abs(tail) < 2.3e-308)).any()
+    assert sum(hardy_check(b).summary()["violated"] > 0 for b in _writer_boxes()) > 200
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_report_text_is_json_dumps_of_its_dict(part):
+    # the report alone, then at depths 1 and 3 in one document
+    for i, b in enumerate(_writer_boxes()[part::4]):
+        report = hardy_check(b, (1e-9, 0.0, 0.125)[i % 3])
+        doc = report.to_json_dict()
+        assert json_text(report) == _dumps(doc)
+        assert json_text({"hardy": report, "a": [{"b": report}]}) == _dumps({"hardy": doc, "a": [{"b": doc}]})
+
+
+def test_check_stdout_is_json_dumps_of_its_dict(capsys, monkeypatch, tmp_path):
+    printed = []
+
+    def write(doc):
+        printed.append(doc)
+        return json_text(doc)
+
+    monkeypatch.setattr(cli, "json_text", write)
+    for i, b in enumerate(_writer_boxes()[::10]):
+        path = tmp_path / f"box{i}.json"
+        path.write_text(json.dumps({"probs": list(b.probs)}), encoding="utf-8")
+        assert main(["check", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        doc = printed.pop()
+        assert isinstance(doc["hardy"], ViolationReport)
+        assert captured.out == _dumps({**doc, "hardy": doc["hardy"].to_json_dict()}) + "\n"
+        assert captured.err.endswith(f"hardy_violations={doc['hardy'].summary()['violated']}\n")
+
+
+MERMIN_CHECKS = hardy_check(mermin_box()).checks
+with np.errstate(over="ignore", invalid="ignore"):
+    OVERFLOWED = hardy_check(Behavior((1e308,) * 16))  # finite cells, slacks of infinity
+
+
+@dataclasses.dataclass(frozen=True)
+class _OwnRow(InequalityCheck):
+    """A check that writes a row of its own."""
+
+    def to_json_dict(self) -> dict:
+        return {"slack": self.lower_slack}
+
+
+def _with_first(**fields):
+    return (dataclasses.replace(MERMIN_CHECKS[0], **fields),) + MERMIN_CHECKS[1:]
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        ViolationReport(MERMIN_CHECKS, math.nan),
+        ViolationReport(MERMIN_CHECKS, -math.inf),
+        ViolationReport(MERMIN_CHECKS, np.float64(1e-9)),
+        ViolationReport(MERMIN_CHECKS, 0),
+        ViolationReport((), 1e-9),
+        ViolationReport(_with_first(lower_slack=np.float64(0.1), upper_slack=np.float64(-0.0)), 1e-9),
+        ViolationReport(_with_first(lower_slack=math.inf), math.nan),  # the tol is refused first
+        ViolationReport(_with_first(upper_slack=math.inf), 1e-9),
+        ViolationReport(_with_first(lower_slack=math.nan), 1e-9),
+        OVERFLOWED,
+        ViolationReport((_OwnRow(*vars(MERMIN_CHECKS[0]).values()),) + MERMIN_CHECKS[1:], 1e-9),
+        ViolationReport(_with_first(lower_slack=np.int64(0)), 1e-9),
+        ViolationReport(_with_first(violated_lower=np.bool_(False)), 1e-9),
+        ViolationReport(_with_first(violated_upper=1), 1e-9),
+        ViolationReport(_with_first(lower_slack=[0.5, {"x": 1}]), 1e-9),  # nested at its line
+        # a quadruple equal to a canonical one but not one of its objects, and reversed order
+        ViolationReport(_with_first(quadruple=HardyQuadruple(*MERMIN_CHECKS[0].quadruple)), 1e-9),
+        ViolationReport(MERMIN_CHECKS[::-1], 1e-9),
+        ViolationReport((InequalityCheck(HardyQuadruple(1, 2, 3, 4, 8, 4, True), 0.5, 0.5, False, False),), 1e-9),
+    ],
+    ids=[
+        "nan-tol", "inf-tol", "np-tol", "int-tol", "empty", "np-slacks", "nan-tol-and-slack", "inf-slack", "nan-slack",
+        "overflow", "own-row",
+        "np-int-slack", "np-bool-flag", "int-flag", "list-slack", "copied-quadruple", "reversed",
+        "other-quadruple",
+    ],
+)
+def test_hand_built_report_is_written_or_refused_as_json_dumps(report):
+    for place in (lambda r: r, lambda r: {"a": [r]}):
+        want = _written(_dumps, place(report.to_json_dict()))
+        assert _written(json_text, place(report)) == want
+    if isinstance(report.tol, float) and math.isnan(report.tol):
+        assert want[0] is ValueError

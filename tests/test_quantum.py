@@ -118,8 +118,17 @@ class TestStatesAndDirections:
             assert np.allclose(projector(d, 1) @ plus, plus, atol=1e-12)
 
     def test_eigenstate_rejects_bad_outcome(self):
-        with pytest.raises(ValueError):
-            BlochDirection(0.3).eigenstate(0)
+        # the integer rule of `as_int`: an integer, not a bool or a float
+        for bad in (0, 2, -2, True, False, 1.0, -1.0, np.True_, np.float64(1.0)):
+            with pytest.raises(ValueError) as exc:
+                BlochDirection(0.3).eigenstate(bad)
+            assert str(exc.value) == f"outcome must be +1 or -1, got {bad!r}"
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int8])
+    def test_eigenstate_takes_numpy_outcomes(self, integer):
+        d = BlochDirection(0.3, 1.2)
+        for outcome in (1, -1):
+            assert d.eigenstate(integer(outcome)) == d.eigenstate(outcome)
 
     def test_unit_vector(self):
         v = BlochDirection(math.pi / 2, 0.0).unit_vector()
@@ -128,11 +137,14 @@ class TestStatesAndDirections:
     def test_settings_pick_by_index(self):
         s = MeasurementSettings(*(BlochDirection(t) for t in (0.1, 0.2, 0.3, 0.4)))
         assert (s.for_a(1), s.for_a(2), s.for_b(1), s.for_b(2)) == (s.a1, s.a2, s.b1, s.b2)
-        for bad in (0, 3, -1):
-            with pytest.raises(ValueError, match="setting must be 1 or 2"):
-                s.for_a(bad)
-            with pytest.raises(ValueError, match="setting must be 1 or 2"):
-                s.for_b(bad)
+        for bad in (0, 3, -1, True, False, 1.0, 2.0, np.True_, np.float64(2.0)):
+            for pick in (s.for_a, s.for_b):
+                with pytest.raises(ValueError) as exc:
+                    pick(bad)
+                assert str(exc.value) == f"setting must be 1 or 2, got {bad!r}"
+        for integer in (np.int64, np.int8, np.uint64):
+            assert (s.for_a(integer(1)), s.for_a(integer(2))) == (s.a1, s.a2)
+            assert (s.for_b(integer(1)), s.for_b(integer(2))) == (s.b1, s.b2)
 
 
 class TestBornRule:
