@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from numbers import Integral
 from pathlib import Path
-from typing import Literal, NamedTuple
-
-Outcome = Literal[1, -1]
+from typing import NamedTuple
 
 #: Fixed outcome order within each setting block.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -109,8 +107,10 @@ def cell_of(index: int) -> tuple[int, int, int, int]:
 class Behavior:
     """Immutable table of the sixteen joint probabilities.
 
-    Entries may be any finite reals; use the predicates below to test for
-    validity, normalization and no-signaling.
+    Entries may be any reals of magnitude at most 1e306; use the predicates
+    below to test for validity, normalization and no-signaling.  No report
+    adds up more than 32 cells' worth of coefficients (Delta's 16, doubled
+    in the audit's identities), so at that bound every value stays finite.
     """
 
     probs: tuple[float, ...]
@@ -119,8 +119,11 @@ class Behavior:
         probs = tuple(map(float, self.probs))
         if len(probs) != 16:
             raise ValueError(f"behavior needs 16 probabilities, got {len(probs)}")
-        if not all(map(math.isfinite, probs)):
-            raise ValueError("behavior entries must be finite")
+        if not math.hypot(*probs) <= 1e306:  # at least each cell's magnitude; NaN for a NaN
+            if not all(map(math.isfinite, probs)):
+                raise ValueError("behavior entries must be finite")
+            if max(map(abs, probs)) > 1e306:
+                raise ValueError("behavior entries must be at most 1e306 in magnitude")
         object.__setattr__(self, "probs", probs)
 
     def p(self, index: int) -> float:
@@ -299,8 +302,9 @@ def json_text(value: object) -> str:
     method's text.  ``newline`` is ``"\\n"`` and the indentation of the line
     the value starts on; the method returns, byte for byte, what this
     function writes for the value's dict form, and refuses what it refuses.
-    `hardybox.bell.ViolationReport` has one, which writes its 64 rows from
-    text made once per quadruple.
+    `hardybox.bell.ViolationReport` has one: a report of ``hardy_check``
+    fills one text template per indentation, and any other report is
+    written from its dict form.
     """
     return _json_text(value, "\n")
 

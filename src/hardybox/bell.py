@@ -39,17 +39,19 @@ report per box and always misses, for the cost of that identity test.
 
 `hardy_check` fills each of its 64 `InequalityCheck` records' ``__dict__``
 directly, as `copy` and `pickle` restore a frozen dataclass: the records
-equal the constructor's.  `ViolationReport.summary` counts the violations in
-one pass, on its first call; ``check`` prints the summary and reads its
-note's count from it again.
+equal the constructor's.  A `ViolationReport` counts its violations in one
+pass, on the first call that needs a count; ``check`` prints the summary and
+reads its note's count from it again.
 
 ``check`` prints a report through `json_text`, which calls the report's
-``__json_text__``.  Of a row, only the two slacks and the two flags change
-from box to box, so each quadruple's row is a ``%s`` template made once per
-indentation by `json_text` itself, from ``InequalityCheck.to_json_dict``
-with placeholder values; a row is its template filled with the writer's own
-scalar texts.  The bytes are those of ``json.dumps`` on `to_json_dict`,
-which stays the library's dict form.
+``__json_text__``.  A report of `hardy_check` (a finite float tol, and the 64
+checks in `HARDY_QUADRUPLES` order with finite float slacks and bool flags)
+fills one template per indentation, `_report_text`: the `json_text` of the
+dict form with a ``%r`` slot for the tol and each slack and a ``%s`` slot for
+each flag's text and the summary's.  Any other report is written from its
+``to_json_dict``, so an odd value is written or refused by the same writer
+as ``json.dumps`` writes or refuses it.  The bytes are those of
+``json.dumps`` on `to_json_dict`, which stays the library's dict form.
 
 Cell numbering follows `hardybox.behavior`.
 """
@@ -60,7 +62,6 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -269,15 +270,15 @@ class ViolationReport:
 
     @property
     def n_violated_lower(self) -> int:
-        return sum(c.violated_lower for c in self.checks)
+        return self._counts[0]
 
     @property
     def n_violated_upper(self) -> int:
-        return sum(c.violated_upper for c in self.checks)
+        return self._counts[1]
 
     @property
     def n_violated(self) -> int:
-        return sum(c.violated for c in self.checks)
+        return sum(self._counts[2])
 
     @property
     def n_satisfied(self) -> int:
@@ -287,7 +288,7 @@ class ViolationReport:
         return tuple(c for c in self.checks if c.violated)
 
     def by_family(self) -> dict[int, int]:
-        return dict(enumerate(self.summary()["violated_by_family"], start=1))
+        return dict(enumerate(self._counts[2], start=1))
 
     def summary(self) -> dict:
         """The violation counts of `to_json_dict`, in a new dict on each call."""
@@ -303,8 +304,8 @@ class ViolationReport:
 
     @functools.cached_property
     def _counts(self) -> tuple[int, int, tuple[int, ...]]:
-        # one pass over the checks, on the first `summary`: ``check`` prints
-        # the summary and then reads its note's count from it again
+        # one pass over the checks, on the first count asked for: ``check``
+        # prints the summary and then reads its note's count from it again
         lower, upper, by_family = 0, 0, [0] * 8
         for c in self.checks:
             lower += c.violated_lower
@@ -321,61 +322,38 @@ class ViolationReport:
 
     def __json_text__(self, newline: str) -> str:
         """`json_text` of `to_json_dict`, the same bytes, for a report whose line
-        starts at ``newline``.  A check of `hardy_check` fills its quadruple's
-        row template; any other check is written from its ``to_json_dict``."""
-        summary = self.summary()  # counted before anything is written, as in to_json_dict
-        inner = newline + "  "
-        row = inner + "  "
-        value = row + "  "  # the line of a row's value, for a value that is not a scalar
-        tol = _json_text(self.tol, inner)  # a bad tol is refused first, as json.dumps refuses it
-        templates = _row_templates(row)
-        finite, real, flag = math.isfinite, float.__repr__, _SCALAR_TEXT[bool]
-        rows = []
-        for c in self.checks:
-            template = templates.get(id(c.quadruple)) if c.__class__ is InequalityCheck else None
-            if template is None:
-                rows.append(_json_text(c.to_json_dict(), row))
-                continue
-            lower, upper, low, up = c.lower_slack, c.upper_slack, c.violated_lower, c.violated_upper
-            rows.append(
-                template
-                % (
-                    real(lower) if lower.__class__ is float and finite(lower) else _json_text(lower, value),
-                    real(upper) if upper.__class__ is float and finite(upper) else _json_text(upper, value),
-                    flag(low) if low.__class__ is bool else _json_text(low, value),
-                    flag(up) if up.__class__ is bool else _json_text(up, value),
-                )
-            )
-        inequalities = "[" + row + ("," + row).join(rows) + inner + "]" if rows else "[]"
-        return (
-            "{" + inner + '"tol": ' + tol + "," + inner + '"inequalities": ' + inequalities
-            + "," + inner + '"summary": ' + _json_text(summary, inner) + newline + "}"
-        )
+        starts at ``newline``.  A report of `hardy_check` fills `_report_text`;
+        any other report is written from its dict form."""
+        tol, checks, flag = self.tol, self.checks, _SCALAR_TEXT[bool]
+        slots = [tol]
+        if tol.__class__ is float and len(checks) == 64:
+            for c, q in zip(checks, HARDY_QUADRUPLES):
+                lower, upper, low, up = c.lower_slack, c.upper_slack, c.violated_lower, c.violated_upper
+                if not (
+                    c.__class__ is InequalityCheck
+                    and c.quadruple is q
+                    and lower.__class__ is upper.__class__ is float
+                    and low.__class__ is up.__class__ is bool
+                ):
+                    break
+                slots += (lower, upper, flag(low), flag(up))
+            else:  # a sum of floats is finite only if each of them is
+                if math.isfinite(sum(slots[1::4], sum(slots[2::4], tol))):
+                    return _report_text(newline) % (*slots, _json_text(self.summary(), newline + "  "))
+        return _json_text(self.to_json_dict(), newline)
 
 
 @functools.cache
-def _row_templates(newline: str) -> dict[int, str]:
-    """For each of `HARDY_QUADRUPLES`, keyed by its ``id``, the `json_text` of
-    its check's ``to_json_dict`` on a line starting at ``newline``, with the two
-    slacks and the two flags as ``%s`` slots, in the order ``to_json_dict``
-    writes them: their field order.
-
-    One row is written, with a placeholder string for each field of the
-    quadruple and the check; each quadruple puts the texts of its fields in."""
-    marks = [f"\0{n}" for n in range(len(HardyQuadruple._fields) + 4)]
-    row = _json_text(InequalityCheck(HardyQuadruple(*marks[:-4]), *marks[-4:]).to_json_dict(), newline)
-    marks = [encode_basestring_ascii(mark) for mark in marks]  # as json_text writes them, quoted
-    row = row.replace("%", "%%")
-    for mark in marks[-4:]:
-        row = row.replace(mark, "%s")
-    fields = [(n, mark) for n, mark in enumerate(marks[:-4]) if mark in row]
-    templates = {}
-    for q in HARDY_QUADRUPLES:
-        text = row
-        for n, mark in fields:
-            text = text.replace(mark, _json_text(q[n], newline + "  ").replace("%", "%%"))
-        templates[id(q)] = text
-    return templates
+def _report_text(newline: str) -> str:
+    """The `json_text` of a `hardy_check` report's ``to_json_dict`` on a line
+    starting at ``newline``, with a ``%r`` slot for the tol and for each
+    check's two slacks and a ``%s`` slot for each check's two flag texts and
+    for the summary's text, in the order the dict form writes them.  The keys
+    are fixed ASCII names and the quadruples' fields integers, so the slots
+    are the text's only ``%``."""
+    rows = [InequalityCheck(q, "%r", "%r", "%s", "%s").to_json_dict() for q in HARDY_QUADRUPLES]
+    doc = {**ViolationReport((), "%r").to_json_dict(), "inequalities": rows, "summary": "%s"}
+    return _json_text(doc, newline).replace('"%r"', "%r").replace('"%s"', "%s")
 
 
 _new_check = object.__new__

@@ -5,11 +5,12 @@ the bytes of ``json.dumps(doc, indent=2, allow_nan=False)`` and a newline,
 written by one writer, `hardybox.behavior.json_text`.  ``check`` puts its
 `ViolationReport` in the document itself, not its dict form: the writer
 splices in the report's own text through its one hook, ``__json_text__``,
-with the same bytes as the ``json.dumps`` of the dict.  `main` builds its
-parser on the first call and reuses it for the rest of the process.
-`simulate` imports `hardybox.montecarlo` and the searches import
-`hardybox.quantum` when they run, so `check`, `enumerate`, `complete` and
-`examples` load neither.
+which fills one template made once per indentation with the tol, the 64
+rows' slacks and flags and the summary.  The bytes are those of the
+``json.dumps`` of the dict.  `main` builds its parser on the first call and
+reuses it for the rest of the process.  `simulate` imports
+`hardybox.montecarlo` and the searches import `hardybox.quantum` when they
+run, so `check`, `enumerate`, `complete` and `examples` load neither.
 
 Exit codes: 0 on success, 1 when a strict check fails or a search does not
 converge (or scipy, which only the searches need, is missing), 2 on

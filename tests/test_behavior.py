@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hardybox import bell, locality
 from hardybox.behavior import (
     DEFAULT_TOL,
     OUTCOME_ORDER,
@@ -32,6 +33,7 @@ from hardybox.behavior import (
     load_behavior,
     marginals,
     save_behavior,
+    to_json,
     uniform_behavior,
 )
 from hardybox.boxes import kwiat_hardy_box, mermin_box, pr_box
@@ -148,6 +150,28 @@ class TestBehavior:
                 probs[position] = bad
                 with pytest.raises(ValueError, match=r"^behavior entries must be finite$"):
                     Behavior(tuple(probs))
+
+    def test_magnitude_bound(self):
+        for big in (math.nextafter(1e306, math.inf), -math.nextafter(1e306, math.inf), 1e308):
+            probs = [0.0625] * 16
+            probs[9] = big
+            with pytest.raises(ValueError, match=r"^behavior entries must be at most 1e306 in magnitude$"):
+                Behavior(tuple(probs))
+
+    @pytest.mark.parametrize("cells", [(1e306, -1e306) * 8, (-1e306, 1e306) * 8, (1e306,) * 16])
+    def test_every_report_is_finite_at_the_bound(self, cells):
+        # no report adds up more than 32 cells' worth of coefficients
+        b = Behavior(cells)
+        with np.errstate(all="raise"):
+            reports = [
+                marginals(b), correlation_vector(b), block_sums(b), is_no_signaling(b),
+                bell.sigma_values(b), bell.delta_values(b), bell.hardy_check(b), bell.ch_check(b),
+                bell.equivalence_audit(b), locality.constraint_residuals(b),
+                locality.nonneg_side_checks(b),
+                *(bell.ch_values_full(b, *via) for via in ((1, 1), (1, 2), (2, 1), (2, 2))),
+                *(locality.ns_bound_check(b, q) for q in bell.HARDY_QUADRUPLES),
+            ]
+        json.dumps([to_json(r) for r in reports], allow_nan=False)  # refuses a NaN or an infinity
 
     def test_coerces_to_float(self):
         b = Behavior((1,) + (0,) * 15)

@@ -304,6 +304,19 @@ class TestHardyCheck:
             c.upper_slack == pytest.approx(-0.5, abs=1e-15) for c in by_family[1]
         )
 
+    def test_counts_agree_with_the_checks(self):
+        for b in (mermin_box(), pr_box(), uniform_behavior(), kwiat_hardy_box()):
+            rep = hardy_check(b, 0.0)
+            checks = rep.checks
+            assert rep.n_violated_lower == sum(c.violated_lower for c in checks)
+            assert rep.n_violated_upper == sum(c.violated_upper for c in checks)
+            assert rep.n_violated == len(rep.violated()) == sum(rep.by_family().values())
+            assert rep.n_satisfied == 64 - rep.n_violated
+            assert rep.by_family() == {
+                f: sum(c.violated for c in checks if c.quadruple.family == f) for f in range(1, 9)
+            }
+            assert rep.summary()["violated_by_family"] == list(rep.by_family().values())
+
     def test_uniform_satisfies_all(self):
         rep = hardy_check(uniform_behavior())
         assert rep.n_violated == 0

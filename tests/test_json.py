@@ -18,9 +18,10 @@ roots, but its signaling p-values come from the C library's ``erfc``.
 
 `json_text` writes every document; `json.dumps(value, indent=2,
 allow_nan=False)` is its oracle here.  `ViolationReport` writes its own text
-through `json_text`'s one hook, ``__json_text__``; on 2,000 seeded boxes of
-five kinds that text is the ``json.dumps`` of its ``to_json_dict``, at three
-depths, and so is ``check``'s whole stdout.
+through `json_text`'s one hook, ``__json_text__``: a report of `hardy_check`
+fills one template, any other is written from its dict form.  On 2,000
+seeded boxes of five kinds that text is the ``json.dumps`` of its
+``to_json_dict``, at three depths, and so is ``check``'s whole stdout.
 """
 
 import copy
@@ -40,9 +41,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hardybox
-from hardybox import cli
+from hardybox import bell, cli
 from hardybox.behavior import Behavior, Party, cell_of, json_text, to_json
 from hardybox.bell import (
+    HARDY_QUADRUPLES,
     ChReport,
     ChshReport,
     EquivalenceAudit,
@@ -632,8 +634,8 @@ def test_check_stdout_is_json_dumps_of_its_dict(capsys, monkeypatch, tmp_path):
 
 
 MERMIN_CHECKS = hardy_check(mermin_box()).checks
-with np.errstate(over="ignore", invalid="ignore"):
-    OVERFLOWED = hardy_check(Behavior((1e308,) * 16))  # finite cells, slacks of infinity
+#: the report a box whose sums overflow would give; `Behavior` refuses such cells now
+OVERFLOWED = ViolationReport(tuple(InequalityCheck(q, INF, -INF, False, True) for q in HARDY_QUADRUPLES), 1e-9)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -646,6 +648,15 @@ class _OwnRow(InequalityCheck):
 
 def _with_first(**fields):
     return (dataclasses.replace(MERMIN_CHECKS[0], **fields),) + MERMIN_CHECKS[1:]
+
+
+def _unused(what):
+    """A stand-in for the writer's ``what`` that fails the test if it is called."""
+
+    def call(*args):
+        raise AssertionError(f"written from {what}")
+
+    return call
 
 
 @pytest.mark.parametrize(
@@ -670,17 +681,34 @@ def _with_first(**fields):
         ViolationReport(_with_first(quadruple=HardyQuadruple(*MERMIN_CHECKS[0].quadruple)), 1e-9),
         ViolationReport(MERMIN_CHECKS[::-1], 1e-9),
         ViolationReport((InequalityCheck(HardyQuadruple(1, 2, 3, 4, 8, 4, True), 0.5, 0.5, False, False),), 1e-9),
+        ViolationReport(MERMIN_CHECKS[:63], 1e-9),
     ],
     ids=[
         "nan-tol", "inf-tol", "np-tol", "int-tol", "empty", "np-slacks", "nan-tol-and-slack", "inf-slack", "nan-slack",
         "overflow", "own-row",
         "np-int-slack", "np-bool-flag", "int-flag", "list-slack", "copied-quadruple", "reversed",
-        "other-quadruple",
+        "other-quadruple", "63-checks",
     ],
 )
-def test_hand_built_report_is_written_or_refused_as_json_dumps(report):
+def test_hand_built_report_is_written_or_refused_as_json_dumps(report, monkeypatch):
+    monkeypatch.setattr(bell, "_report_text", _unused("the template"))  # written from its dict form
     for place in (lambda r: r, lambda r: {"a": [r]}):
         want = _written(_dumps, place(report.to_json_dict()))
         assert _written(json_text, place(report)) == want
     if isinstance(report.tol, float) and math.isnan(report.tol):
         assert want[0] is ValueError
+
+
+def test_report_of_hardy_check_is_written_from_the_template(monkeypatch):
+    reports = [hardy_check(b, tol) for b in _writer_boxes()[::50] for tol in (1e-9, 0.0, 0.125)]
+    places = (lambda r: r, lambda r: {"a": r}, lambda r: {"a": [{"b": r}]})  # depths 0, 1 and 3
+    want = [_dumps(place(r.to_json_dict())) for r in reports for place in places]
+    monkeypatch.setattr(ViolationReport, "to_json_dict", _unused("the dict form"))
+    assert [json_text(place(r)) for r in reports for place in places] == want
+
+
+def test_report_template_has_a_slot_per_value():
+    for newline in ("\n", "\n  ", "\n      "):
+        text = bell._report_text(newline)
+        assert text.count("%r") == 1 + 2 * 64 and text.count("%s") == 2 * 64 + 1
+        assert text.count("%") == 1 + 4 * 64 + 1  # no other %, so nothing needs escaping
